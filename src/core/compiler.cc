@@ -6,8 +6,6 @@
 #include "obs/explain.h"
 #include "ratmath/linalg.h"
 #include "verify/verify.h"
-#include "xform/basis.h"
-#include "xform/legal.h"
 #include "xform/stride.h"
 
 namespace anc::core {
@@ -53,30 +51,26 @@ conservativeDepMatrix(size_t n)
 }
 
 /**
- * One tier of the normalization pipeline, with stage provenance: the
- * caller's `stage` always names the stage that is executing, so a catch
- * site knows exactly where a throw came from.
+ * One tier of the normalization pipeline: xform's steps, each in its
+ * stage and phase span. The caller's `stage` always names the stage
+ * that is executing, so a catch site knows exactly where a throw came
+ * from.
  */
 xform::NormalizeResult
 normalizeAtTier(const ir::Program &prog,
                 const xform::AccessMatrixInfo &access,
                 const deps::DependenceInfo &dinfo,
-                const xform::NormalizeOptions &nopts, bool unimodular_only,
+                const xform::NormalizeOptions &nopts, bool unimodular,
                 Stage &stage, obs::PhaseClock &pc, CancelToken *cancel)
 {
-    size_t n = prog.nest.depth();
-    xform::NormalizeResult r;
-    r.access = access;
-    r.depMatrix = dinfo.matrix(n);
-    r.depsImprecise = dinfo.imprecise;
+    xform::NormalizeResult r =
+        xform::normalizationRecord(access, dinfo, prog.nest.depth());
 
     stage = Stage::Normalize;
     tick(cancel);
     {
         auto s = pc.phase("basis-matrix");
-        xform::BasisResult basis = xform::basisMatrix(r.access.matrix);
-        r.basis = basis.basis;
-        r.basisKeptRows = basis.keptRows;
+        xform::basisStep(r);
     }
 
     stage = Stage::Legality;
@@ -84,71 +78,20 @@ normalizeAtTier(const ir::Program &prog,
     if (nopts.enforceLegality) {
         {
             auto s = pc.phase("legal-basis");
-            r.legal = xform::legalBasis(r.basis, r.depMatrix,
-                                        &r.legalTrail);
+            xform::legalBasisStep(r);
         }
         tick(cancel);
-        auto s = pc.phase("legal-invertible");
-        r.transform =
-            unimodular_only
-                ? xform::unimodularLegalInvertible(r.legal, r.depMatrix, n,
-                                                   &r.unimodularDropped,
-                                                   &r.projectionRows)
-                : xform::legalInvertible(r.legal, r.depMatrix,
-                                         &r.projectionRows);
-        if (!deps::isLegalTransformation(r.transform, r.depMatrix))
-            throw InternalError("normalization produced illegal transform");
-        if (dinfo.imprecise &&
-            !deps::preservesLexSign(r.transform, dinfo.families)) {
-            r.transform = IntMatrix::identity(n);
-            r.conservativeFallback = true;
-            r.projectionRows = 0;
-        }
-    } else {
-        auto s = pc.phase("padding");
-        r.legal = r.basis;
-        if (unimodular_only) {
-            r.transform = IntMatrix::identity(n);
-            r.unimodularDropped = r.basis.rows();
-            for (size_t keep = r.basis.rows() + 1; keep-- > 0;) {
-                IntMatrix prefix(0, n);
-                for (size_t i = 0; i < keep; ++i)
-                    prefix.appendRow(r.basis.row(i));
-                try {
-                    IntMatrix t = xform::padToInvertible(prefix);
-                    if (isUnimodular(t)) {
-                        r.transform = t;
-                        r.unimodularDropped = r.basis.rows() - keep;
-                        break;
-                    }
-                } catch (const Error &) {
-                    // Try a shorter prefix.
-                }
-            }
-        } else {
-            r.transform = xform::padToInvertible(r.basis);
-        }
+    }
+    {
+        auto s = pc.phase(nopts.enforceLegality ? "legal-invertible"
+                                                : "padding");
+        xform::invertibleStep(r, dinfo, nopts.enforceLegality, unimodular);
     }
 
     stage = Stage::Transform;
     tick(cancel);
     auto s = pc.phase("apply-transform");
-    r.unimodular = isUnimodular(r.transform);
-    for (size_t l = 0; l < n; ++l) {
-        IntVec row = r.transform.row(l);
-        IntVec neg_row = row;
-        for (Int &v : neg_row)
-            v = checkedNeg(v);
-        for (size_t a = 0; a < r.access.rows.size(); ++a) {
-            if (r.access.rows[a].coeffs == row ||
-                r.access.rows[a].coeffs == neg_row) {
-                r.normalized.push_back({l, a, r.access.rows[a].distDim});
-                ++r.rowsRetained;
-                break;
-            }
-        }
-    }
-    r.nest = xform::applyTransform(prog, r.transform);
+    xform::applyStep(r, prog);
     return r;
 }
 
@@ -176,29 +119,13 @@ runPlanSearch(Compilation &c, const CompileOptions &opts,
         // Re-derive the record fields tied to T (Definition 4.1 hits,
         // unimodularity) before committing to the winner.
         xform::NormalizeResult &r = c.normalization;
-        std::vector<xform::NormalizedLoop> normalized;
-        size_t retained = 0;
-        size_t n = c.program.nest.depth();
-        for (size_t l = 0; l < n; ++l) {
-            IntVec row = c.search.transform.row(l);
-            IntVec neg_row = row;
-            for (Int &v : neg_row)
-                v = checkedNeg(v);
-            for (size_t a = 0; a < r.access.rows.size(); ++a) {
-                if (r.access.rows[a].coeffs == row ||
-                    r.access.rows[a].coeffs == neg_row) {
-                    normalized.push_back(
-                        {l, a, r.access.rows[a].distDim});
-                    ++retained;
-                    break;
-                }
-            }
-        }
+        std::vector<xform::NormalizedLoop> normalized =
+            xform::normalizedLoops(r.access, c.search.transform);
         bool unimodular = isUnimodular(c.search.transform);
         r.transform = c.search.transform;
         r.nest = c.search.nest;
+        r.rowsRetained = normalized.size();
         r.normalized = std::move(normalized);
-        r.rowsRetained = retained;
         r.unimodular = unimodular;
         c.plan = c.search.plan;
         double winner_total = 0, heur_total = 0;
@@ -325,97 +252,13 @@ differentialCheck(const Compilation &c, const ResilientOptions &ropts)
     return {false, false, "no feasible small parameter binding"};
 }
 
-} // namespace
-
+/**
+ * The degradation ladder behind compile() and compileResilient(). With
+ * `degrade` off it runs only the first rung and rethrows whatever that
+ * rung, or an analysis it needs, throws.
+ */
 Compilation
-compile(ir::Program prog, const CompileOptions &opts)
-{
-    tick(opts.cancel);
-    prog.validate();
-    Compilation c;
-    c.program = std::move(prog);
-    obs::PhaseClock pc(&c.phaseTimes, opts.trace, opts.tracePid);
-    pc.setTier(tierName(opts.identityTransform ? CompileTier::Identity
-                                               : CompileTier::Full));
-
-    if (opts.identityTransform) {
-        // Baseline: keep the nest, distribute the original outer loop.
-        size_t n = c.program.nest.depth();
-        xform::NormalizeResult r;
-        tick(opts.cancel);
-        {
-            auto s = pc.phase("access-matrix");
-            r.access = xform::buildAccessMatrix(c.program);
-        }
-        deps::DependenceInfo dinfo;
-        tick(opts.cancel);
-        {
-            auto s = pc.phase("dependence");
-            dinfo = deps::analyzeDependences(
-                c.program, opts.normalize.includeInputDeps);
-        }
-        r.depMatrix = dinfo.matrix(n);
-        r.depsImprecise = dinfo.imprecise;
-        r.transform = IntMatrix::identity(n);
-        r.basis = r.transform;
-        r.legal = r.transform;
-        r.unimodular = true;
-        tick(opts.cancel);
-        {
-            auto s = pc.phase("apply-transform");
-            r.nest = xform::applyTransform(c.program, r.transform);
-        }
-        c.normalization = std::move(r);
-        c.tier = CompileTier::Identity;
-    } else {
-        tick(opts.cancel);
-        auto s = pc.phase("normalize");
-        c.normalization = xform::accessNormalize(c.program, opts.normalize);
-        if (c.normalization.conservativeFallback)
-            c.diagnostics.warning(
-                Stage::Legality,
-                "imprecise dependence family rejected the candidate "
-                "transformation; compiled the original nest instead");
-    }
-
-    tick(opts.cancel);
-    {
-        auto s = pc.phase("plan");
-        c.plan = codegen::planCodegen(c.program, *c.normalization.nest,
-                                      c.normalization.depMatrix,
-                                      &c.normalization.access);
-    }
-    runPlanSearch(c, opts, pc);
-    tick(opts.cancel);
-    {
-        auto s = pc.phase("strength-reduce");
-        c.strengthReduction =
-            codegen::planStrengthReduction(*c.normalization.nest);
-    }
-    tick(opts.cancel);
-    {
-        auto s = pc.phase("emit");
-        c.nodeProgram = codegen::emitNodeProgram(
-            c.program, *c.normalization.nest, c.plan,
-            c.strengthReduction.empty() ? nullptr : &c.strengthReduction);
-    }
-    if (opts.validate) {
-        tick(opts.cancel);
-        auto s = pc.phase("translation-validate");
-        verify::ValidateOptions vopts;
-        vopts.cancel = opts.cancel;
-        c.validation = verify::validate(c.program, c.nest(),
-                                        c.normalization.depMatrix, vopts);
-        c.validated = c.validation.passed();
-        if (!c.validation.passed())
-            throw InternalError("translation validation failed: " +
-                                c.validation.firstFailure());
-    }
-    return c;
-}
-
-Compilation
-compileResilient(ir::Program prog, const ResilientOptions &ropts)
+runLadder(ir::Program prog, const ResilientOptions &ropts, bool degrade)
 {
     Compilation c;
     c.program = std::move(prog);
@@ -430,6 +273,8 @@ compileResilient(ir::Program prog, const ResilientOptions &ropts)
     } catch (const UserError &) {
         throw; // structurally invalid: the caller's to fix
     } catch (const Error &e) {
+        if (!degrade)
+            throw;
         // Validation itself hit a recoverable fault (e.g. arithmetic
         // overflow); that says nothing about the program's structure,
         // so record it and let the ladder proceed.
@@ -453,6 +298,8 @@ compileResilient(ir::Program prog, const ResilientOptions &ropts)
     } catch (const UserError &) {
         throw;
     } catch (const Error &e) {
+        if (!degrade)
+            throw;
         diags.warning(Stage::Normalize,
                       "data access matrix construction failed; "
                       "restructuring disabled",
@@ -467,6 +314,8 @@ compileResilient(ir::Program prog, const ResilientOptions &ropts)
     } catch (const UserError &) {
         throw;
     } catch (const Error &e) {
+        if (!degrade)
+            throw;
         diags.warning(Stage::Dependence,
                       "dependence analysis failed; assuming an "
                       "outer-carried dependence and compiling the "
@@ -474,24 +323,21 @@ compileResilient(ir::Program prog, const ResilientOptions &ropts)
                       e.what());
     }
 
-    struct Rung
-    {
-        CompileTier tier;
-        bool unimodularOnly;
-    };
-    std::vector<Rung> rungs;
+    std::vector<CompileTier> rungs;
     if (!ropts.base.identityTransform && access && dinfo) {
-        rungs.push_back({CompileTier::Full, false});
-        rungs.push_back({CompileTier::Unimodular, true});
+        rungs.push_back(CompileTier::Full);
+        rungs.push_back(CompileTier::Unimodular);
     }
-    rungs.push_back({CompileTier::Identity, false});
+    rungs.push_back(CompileTier::Identity);
+    if (!degrade)
+        rungs.resize(1);
 
     std::string last_error;
-    for (const Rung &rung : rungs) {
+    for (CompileTier tier : rungs) {
         Stage stage = Stage::Normalize;
-        pc.setTier(tierName(rung.tier));
+        pc.setTier(tierName(tier));
         try {
-            if (rung.tier == CompileTier::Identity) {
+            if (tier == CompileTier::Identity) {
                 stage = Stage::Transform;
                 tick(cancel);
                 xform::NormalizeResult r;
@@ -514,25 +360,24 @@ compileResilient(ir::Program prog, const ResilientOptions &ropts)
                 }
                 c.normalization = std::move(r);
             } else {
-                c.normalization =
-                    normalizeAtTier(c.program, *access, *dinfo, nopts,
-                                    rung.unimodularOnly, stage, pc,
-                                    cancel);
+                c.normalization = normalizeAtTier(
+                    c.program, *access, *dinfo, nopts,
+                    /*unimodular=*/tier == CompileTier::Unimodular, stage,
+                    pc, cancel);
             }
             planAndEmit(c, access.has_value(),
-                        /*with_strength=*/rung.tier == CompileTier::Full,
+                        /*with_strength=*/tier == CompileTier::Full,
                         ropts.base,
-                        /*with_search=*/rung.tier == CompileTier::Full,
-                        stage, pc, cancel);
-            c.tier = rung.tier;
+                        /*with_search=*/tier == CompileTier::Full, stage,
+                        pc, cancel);
+            c.tier = tier;
 
             if (c.normalization.conservativeFallback)
                 diags.warning(Stage::Legality,
                               "imprecise dependence family rejected the "
                               "candidate transformation; compiled the "
                               "original nest instead");
-            if (rung.unimodularOnly &&
-                c.normalization.unimodularDropped > 0)
+            if (c.normalization.unimodularDropped > 0)
                 diags.note(
                     Stage::Legality,
                     "dropped " +
@@ -550,6 +395,11 @@ compileResilient(ir::Program prog, const ResilientOptions &ropts)
                 auto s = pc.phase("differential-check");
                 DiffOutcome d = differentialCheck(c, ropts);
                 if (d.ran && !d.passed) {
+                    if (!degrade)
+                        throw InternalError(
+                            std::string("tier '") + tierName(c.tier) +
+                            "' failed differential verification: " +
+                            d.note);
                     last_error = d.note;
                     diags.error(Stage::DifferentialCheck,
                                 std::string("tier '") + tierName(c.tier) +
@@ -575,6 +425,10 @@ compileResilient(ir::Program prog, const ResilientOptions &ropts)
                     c.program, c.nest(), c.normalization.depMatrix,
                     vopts);
                 if (!c.validation.passed()) {
+                    if (!degrade)
+                        throw InternalError(
+                            "translation validation failed: " +
+                            c.validation.firstFailure());
                     last_error = c.validation.firstFailure();
                     diags.error(Stage::TranslationValidate,
                                 std::string("tier '") + tierName(c.tier) +
@@ -592,9 +446,11 @@ compileResilient(ir::Program prog, const ResilientOptions &ropts)
         } catch (const UserError &) {
             throw;
         } catch (const Error &e) {
+            if (!degrade)
+                throw;
             last_error = e.what();
             diags.warning(stage,
-                          std::string("tier '") + tierName(rung.tier) +
+                          std::string("tier '") + tierName(tier) +
                               "' failed in stage '" + stageName(stage) +
                               "'; degrading",
                           e.what());
@@ -607,6 +463,22 @@ compileResilient(ir::Program prog, const ResilientOptions &ropts)
     throw InternalError(
         "compileResilient: even the identity tier failed: " + last_error +
         "\ndiagnostics:\n" + diags.render());
+}
+
+} // namespace
+
+Compilation
+compile(ir::Program prog, const CompileOptions &opts)
+{
+    ResilientOptions ropts;
+    ropts.base = opts;
+    return runLadder(std::move(prog), ropts, /*degrade=*/false);
+}
+
+Compilation
+compileResilient(ir::Program prog, const ResilientOptions &ropts)
+{
+    return runLadder(std::move(prog), ropts, /*degrade=*/true);
 }
 
 namespace {
@@ -712,7 +584,7 @@ explain(const Compilation &c)
         }
         e.candidates.push_back(std::move(cand));
     }
-    // Under unimodularOnly the trailing kept rows were re-dropped.
+    // Under the unimodular rung the trailing kept rows were re-dropped.
     for (size_t k = 0; k < r.unimodularDropped && k < legal_kept.size();
          ++k) {
         obs::ExplainCandidate &cand =

@@ -2,12 +2,15 @@
  * @file
  * The access-normalizing NUMA compiler: the library's top-level API.
  *
- * compile() runs the paper's whole pipeline on a program --
+ * compileResilient() runs the paper's whole pipeline on a program --
  * dependence analysis, access normalization (Sections 2-6), NUMA code
- * generation planning (Section 7) -- and returns everything a client
- * needs: the transformation record, the executable transformed nest,
- * the SPMD plan, emitted node code, and helpers to simulate the result
- * on a modeled NUMA machine (Section 8).
+ * generation planning (Section 7) -- as a degradation ladder (full ->
+ * unimodular -> identity), and returns everything a client needs: the
+ * transformation record, the executable transformed nest, the SPMD
+ * plan, emitted node code, and helpers to simulate the result on a
+ * modeled NUMA machine (Section 8). compile() is the ladder's first
+ * rung, throwing instead of degrading: on success it returns exactly
+ * what compileResilient() returns for the same options.
  */
 
 #ifndef ANC_CORE_COMPILER_H
@@ -103,7 +106,7 @@ struct Compilation
      * work that was then thrown away. */
     std::vector<obs::PhaseTime> phaseTimes;
 
-    /** Ladder rung this result came out of (Full for plain compile()). */
+    /** Ladder rung this result came out of. */
     CompileTier tier = CompileTier::Full;
     /** What was given up and why, with stage provenance. */
     Diagnostics diagnostics;
@@ -140,7 +143,13 @@ struct Compilation
     std::string report() const;
 };
 
-/** Run the full pipeline. */
+/**
+ * The ladder's first rung (Full, or Identity under identityTransform),
+ * throwing instead of degrading: any failure a lower rung would absorb
+ * propagates, and a failed translation validation throws
+ * InternalError. Runs the differential check with ResilientOptions'
+ * defaults whenever compileResilient() would.
+ */
 Compilation compile(ir::Program prog, const CompileOptions &opts = {});
 
 /** Options for resilient compilation. */

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "obs/trace.h"
+
 namespace anc::core {
 
 const char *
@@ -77,45 +79,6 @@ quoteEscaped(const std::string &s)
     return out;
 }
 
-/** JSON string escaping per RFC 8259 (control chars as \u00XX). */
-std::string
-jsonQuoted(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    out.push_back('"');
-    for (unsigned char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (c < 0x20) {
-                static const char hex[] = "0123456789abcdef";
-                out += "\\u00";
-                out.push_back(hex[c >> 4]);
-                out.push_back(hex[c & 0xf]);
-            } else {
-                out.push_back(char(c));
-            }
-        }
-    }
-    out.push_back('"');
-    return out;
-}
-
 } // namespace
 
 std::string
@@ -149,12 +112,12 @@ std::string
 Diagnostic::renderJson() const
 {
     std::ostringstream os;
-    os << "{\"severity\": " << jsonQuoted(severityName(severity))
-       << ", \"stage\": " << jsonQuoted(stageName(stage))
+    os << "{\"severity\": " << obs::jsonStr(severityName(severity))
+       << ", \"stage\": " << obs::jsonStr(stageName(stage))
        << ", \"line\": " << line
-       << ", \"message\": " << jsonQuoted(message)
-       << ", \"detail\": " << jsonQuoted(detail)
-       << ", \"origin\": " << jsonQuoted(origin) << "}";
+       << ", \"message\": " << obs::jsonStr(message)
+       << ", \"detail\": " << obs::jsonStr(detail)
+       << ", \"origin\": " << obs::jsonStr(origin) << "}";
     return os.str();
 }
 

@@ -53,7 +53,7 @@ struct PerfModel
 
 /**
  * Calibrate the model for a compiled program by simulating once at the
- * given reference processor count (sampling all processors).
+ * given reference processor count.
  */
 PerfModel calibrateModel(const ir::Program &prog,
                          const xform::TransformedNest &nest,

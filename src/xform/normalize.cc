@@ -12,120 +12,143 @@ NormalizeResult
 accessNormalize(const ir::Program &prog, const NormalizeOptions &opts)
 {
     prog.validate();
-    size_t n = prog.nest.depth();
-
-    NormalizeResult r;
-    r.access = buildAccessMatrix(prog, opts.useDistributionHint);
-
+    AccessMatrixInfo access =
+        buildAccessMatrix(prog, opts.useDistributionHint);
     deps::DependenceInfo dinfo =
         deps::analyzeDependences(prog, opts.includeInputDeps);
-    r.depMatrix = dinfo.matrix(n);
-    r.depsImprecise = dinfo.imprecise;
+    NormalizeResult r =
+        normalizationRecord(access, dinfo, prog.nest.depth());
+    basisStep(r);
+    if (opts.enforceLegality)
+        legalBasisStep(r);
+    invertibleStep(r, dinfo, opts.enforceLegality, /*unimodular=*/false);
+    applyStep(r, prog);
+    return r;
+}
 
+NormalizeResult
+normalizationRecord(const AccessMatrixInfo &access,
+                    const deps::DependenceInfo &dinfo, size_t depth)
+{
+    NormalizeResult r;
+    r.access = access;
+    r.depMatrix = dinfo.matrix(depth);
+    r.depsImprecise = dinfo.imprecise;
+    return r;
+}
+
+void
+basisStep(NormalizeResult &r)
+{
     BasisResult basis = basisMatrix(r.access.matrix);
     r.basis = basis.basis;
     r.basisKeptRows = basis.keptRows;
+}
 
-    if (opts.enforceLegality) {
-        r.legal = legalBasis(r.basis, r.depMatrix, &r.legalTrail);
-        r.transform =
-            opts.unimodularOnly
-                ? unimodularLegalInvertible(r.legal, r.depMatrix, n,
-                                            &r.unimodularDropped,
-                                            &r.projectionRows)
-                : legalInvertible(r.legal, r.depMatrix,
-                                  &r.projectionRows);
-        if (!deps::isLegalTransformation(r.transform, r.depMatrix))
-            throw InternalError("normalization produced illegal transform");
-        // The distance-vector algorithms above are exact when every
-        // dependence has a constant distance or a single lattice
-        // generator. For imprecise families, verify against the full
-        // solution family and fall back to the (always legal) identity
-        // if the check fails.
-        if (dinfo.imprecise &&
-            !deps::preservesLexSign(r.transform, dinfo.families)) {
-            r.transform = IntMatrix::identity(n);
-            r.conservativeFallback = true;
-            r.projectionRows = 0;
-        }
-    } else {
-        r.legal = r.basis;
-        if (opts.unimodularOnly) {
-            r.transform = IntMatrix::identity(n);
-            for (size_t keep = r.basis.rows() + 1; keep-- > 0;) {
-                IntMatrix prefix(0, n);
-                for (size_t i = 0; i < keep; ++i)
-                    prefix.appendRow(r.basis.row(i));
-                try {
-                    IntMatrix t = padToInvertible(prefix);
-                    if (isUnimodular(t)) {
-                        r.transform = t;
-                        r.unimodularDropped = r.basis.rows() - keep;
-                        break;
-                    }
-                } catch (const Error &) {
-                    // Try a shorter prefix.
-                }
-                r.unimodularDropped = r.basis.rows();
+void
+legalBasisStep(NormalizeResult &r)
+{
+    r.legal = legalBasis(r.basis, r.depMatrix, &r.legalTrail);
+}
+
+namespace {
+
+/**
+ * Complete the longest prefix of `rows` whose completion is unimodular;
+ * the identity (always legal) when no prefix works. `complete(prefix,
+ * &projection_rows)` pads a prefix to an invertible depth x depth
+ * matrix.
+ */
+template <class Complete>
+IntMatrix
+unimodularPrefix(const IntMatrix &rows, size_t depth,
+                 const Complete &complete, size_t &rows_dropped,
+                 size_t &projection_rows)
+{
+    projection_rows = 0;
+    for (size_t keep = rows.rows() + 1; keep-- > 0;) {
+        IntMatrix prefix(0, depth);
+        for (size_t i = 0; i < keep; ++i)
+            prefix.appendRow(rows.row(i));
+        try {
+            size_t proj = 0;
+            IntMatrix t = complete(prefix, &proj);
+            if (isUnimodular(t)) {
+                rows_dropped = rows.rows() - keep;
+                projection_rows = proj;
+                return t;
             }
-        } else {
-            r.transform = padToInvertible(r.basis);
+        } catch (const Error &) {
+            // Completing this prefix failed (overflow, degenerate
+            // projection); a shorter prefix may still work.
         }
     }
+    rows_dropped = rows.rows();
+    return IntMatrix::identity(depth);
+}
 
-    r.unimodular = isUnimodular(r.transform);
+} // namespace
 
-    // Definition 4.1: loop level l normalizes access-matrix row a when
-    // row l of T equals (possibly negated, i.e. reversed) that row.
-    for (size_t l = 0; l < n; ++l) {
-        IntVec row = r.transform.row(l);
+void
+invertibleStep(NormalizeResult &r, const deps::DependenceInfo &dinfo,
+               bool enforce_legality, bool unimodular)
+{
+    size_t n = r.depMatrix.rows();
+    if (!enforce_legality)
+        r.legal = r.basis;
+    auto complete = [&](const IntMatrix &rows, size_t *projection_rows) {
+        return enforce_legality
+                   ? legalInvertible(rows, r.depMatrix, projection_rows)
+                   : padToInvertible(rows);
+    };
+    r.transform = unimodular
+                      ? unimodularPrefix(r.legal, n, complete,
+                                         r.unimodularDropped,
+                                         r.projectionRows)
+                      : complete(r.legal, &r.projectionRows);
+    if (!enforce_legality)
+        return;
+    if (!deps::isLegalTransformation(r.transform, r.depMatrix))
+        throw InternalError("normalization produced illegal transform");
+    // The distance-vector algorithms above are exact when every
+    // dependence has a constant distance or a single lattice generator.
+    // For imprecise families, verify against the full solution family
+    // and fall back to the (always legal) identity if the check fails.
+    if (dinfo.imprecise &&
+        !deps::preservesLexSign(r.transform, dinfo.families)) {
+        r.transform = IntMatrix::identity(n);
+        r.conservativeFallback = true;
+        r.projectionRows = 0;
+    }
+}
+
+std::vector<NormalizedLoop>
+normalizedLoops(const AccessMatrixInfo &access, const IntMatrix &transform)
+{
+    std::vector<NormalizedLoop> hits;
+    for (size_t l = 0; l < transform.rows(); ++l) {
+        IntVec row = transform.row(l);
         IntVec neg_row = row;
         for (Int &v : neg_row)
             v = checkedNeg(v);
-        for (size_t a = 0; a < r.access.rows.size(); ++a) {
-            if (r.access.rows[a].coeffs == row ||
-                r.access.rows[a].coeffs == neg_row) {
-                r.normalized.push_back(
-                    {l, a, r.access.rows[a].distDim});
-                ++r.rowsRetained;
+        for (size_t a = 0; a < access.rows.size(); ++a) {
+            if (access.rows[a].coeffs == row ||
+                access.rows[a].coeffs == neg_row) {
+                hits.push_back({l, a, access.rows[a].distDim});
                 break;
             }
         }
     }
-
-    r.nest = applyTransform(prog, r.transform);
-    return r;
+    return hits;
 }
 
-IntMatrix
-unimodularLegalInvertible(const IntMatrix &legal, const IntMatrix &deps,
-                          size_t depth, size_t *rows_dropped,
-                          size_t *projection_rows)
+void
+applyStep(NormalizeResult &r, const ir::Program &prog)
 {
-    if (projection_rows)
-        *projection_rows = 0;
-    for (size_t keep = legal.rows() + 1; keep-- > 0;) {
-        IntMatrix prefix(0, depth);
-        for (size_t i = 0; i < keep; ++i)
-            prefix.appendRow(legal.row(i));
-        try {
-            size_t proj = 0;
-            IntMatrix t = legalInvertible(prefix, deps, &proj);
-            if (isUnimodular(t)) {
-                if (rows_dropped)
-                    *rows_dropped = legal.rows() - keep;
-                if (projection_rows)
-                    *projection_rows = proj;
-                return t;
-            }
-        } catch (const Error &) {
-            // Padding this prefix failed (overflow, degenerate
-            // projection); a shorter prefix may still work.
-        }
-    }
-    if (rows_dropped)
-        *rows_dropped = legal.rows();
-    return IntMatrix::identity(depth);
+    r.unimodular = isUnimodular(r.transform);
+    r.normalized = normalizedLoops(r.access, r.transform);
+    r.rowsRetained = r.normalized.size();
+    r.nest = applyTransform(prog, r.transform);
 }
 
 std::string

@@ -10,6 +10,10 @@
  *
  * When the data access matrix is itself invertible and legal, it is used
  * directly (Section 4).
+ *
+ * accessNormalize() is the composition of the step functions declared
+ * below; core::compileResilient()'s degradation ladder takes the same
+ * steps one at a time, each inside its own recovery stage.
  */
 
 #ifndef ANC_XFORM_NORMALIZE_H
@@ -36,15 +40,6 @@ struct NormalizeOptions
     /** Use the paper's Section 2.2 ordering heuristic (distribution
      * dimensions first). Disable only to ablate the heuristic. */
     bool useDistributionHint = true;
-    /**
-     * Restrict the transformation to unimodular matrices (Banerjee's
-     * special case): trailing basis rows are dropped until the padded
-     * matrix has determinant +/-1, falling back to the identity when no
-     * prefix works. Unimodular transformations need no image-lattice
-     * strides or strength-reduced division code, so this is the middle
-     * rung of core::compileResilient()'s degradation ladder.
-     */
-    bool unimodularOnly = false;
 };
 
 /** Which normalized subscript, if any, a transformed loop exposes. */
@@ -80,8 +75,8 @@ struct NormalizeResult
      * which is always legal.
      */
     bool conservativeFallback = false;
-    /** Under unimodularOnly: basis rows dropped to reach a unimodular
-     * transformation. */
+    /** Basis rows invertibleStep() dropped to reach a unimodular
+     * transformation (0 unless it was asked for one). */
     size_t unimodularDropped = 0;
 
     // --- Decision trail (for obs/explain.h; always recorded, the
@@ -108,16 +103,53 @@ NormalizeResult accessNormalize(const ir::Program &prog,
 /** Human-readable report of a normalization run (matrices, choices). */
 std::string describe(const NormalizeResult &r, const ir::Program &prog);
 
+// --- The pipeline's steps, in order. Each reads the record fields its
+// predecessors filled in.
+
+/** A record holding the shared analyses the steps start from: the
+ * ordered access matrix and the dependence matrix of a depth-deep
+ * nest. */
+NormalizeResult normalizationRecord(const AccessMatrixInfo &access,
+                                    const deps::DependenceInfo &dinfo,
+                                    size_t depth);
+
+/** BasisMatrix (Section 5.1): fills basis and basisKeptRows. */
+void basisStep(NormalizeResult &r);
+
+/** LegalBasis (Section 6.1): fills legal and legalTrail. */
+void legalBasisStep(NormalizeResult &r);
+
 /**
- * LegalInvt restricted to unimodular results: pads the longest prefix of
- * the (already legal) basis whose padded matrix is unimodular; when even
- * the empty prefix fails, returns the identity, which is always legal.
- * rows_dropped, when given, receives the number of discarded rows.
+ * Complete the legal basis to the invertible T. With legality enforced
+ * this is LegalInvt (Section 6.2); T is then checked against every
+ * distance vector and, when the dependence information is imprecise,
+ * against the exact families -- a rejected T falls back to the
+ * identity, which is always legal (conservativeFallback). Without
+ * legality enforcement, legal is the basis itself, padded with
+ * identity rows.
+ *
+ * `unimodular` restricts T to unimodular matrices (Banerjee's special
+ * case): T completes the longest prefix of the legal basis whose
+ * completion has determinant +/-1, or is the identity when no prefix
+ * works; unimodularDropped counts the rows given up. Unimodular
+ * transformations need no image-lattice strides or strength-reduced
+ * division code, so this is the middle rung of
+ * core::compileResilient()'s degradation ladder.
  */
-IntMatrix unimodularLegalInvertible(const IntMatrix &legal,
-                                    const IntMatrix &deps, size_t depth,
-                                    size_t *rows_dropped = nullptr,
-                                    size_t *projection_rows = nullptr);
+void invertibleStep(NormalizeResult &r, const deps::DependenceInfo &dinfo,
+                    bool enforce_legality, bool unimodular);
+
+/**
+ * Definition 4.1: loop level l normalizes access-matrix row a when row
+ * l of T equals that row, possibly negated (the loop runs reversed).
+ * At most one hit per level, the most important matching row.
+ */
+std::vector<NormalizedLoop> normalizedLoops(const AccessMatrixInfo &access,
+                                            const IntMatrix &transform);
+
+/** Apply T (Section 3): fills unimodular, the Definition 4.1 hits,
+ * rowsRetained and the restructured nest. */
+void applyStep(NormalizeResult &r, const ir::Program &prog);
 
 } // namespace anc::xform
 

@@ -24,11 +24,22 @@ hasPhase(const Compilation &c, const std::string &name)
 
 TEST(Profile, CompileRecordsPipelinePhases)
 {
-    Compilation c = compile(ir::gallery::gemm());
-    EXPECT_TRUE(hasPhase(c, "normalize"));
-    EXPECT_TRUE(hasPhase(c, "plan"));
-    EXPECT_TRUE(hasPhase(c, "emit"));
-    for (const obs::PhaseTime &p : c.phaseTimes)
+    // compile() is the ladder's first rung, so it speaks the ladder's
+    // phase vocabulary: the same phases, in the same order, under the
+    // same tiers as compileResilient() on a program neither degrades.
+    Compilation strict = compile(ir::gallery::gemm());
+    Compilation resilient = compileResilient(ir::gallery::gemm());
+    auto sequence = [](const Compilation &c) {
+        std::vector<std::string> names;
+        for (const obs::PhaseTime &p : c.phaseTimes)
+            names.push_back(p.name + "@" + p.tier);
+        return names;
+    };
+    EXPECT_EQ(sequence(strict), sequence(resilient));
+    EXPECT_TRUE(hasPhase(strict, "basis-matrix"));
+    EXPECT_TRUE(hasPhase(strict, "plan"));
+    EXPECT_TRUE(hasPhase(strict, "emit"));
+    for (const obs::PhaseTime &p : strict.phaseTimes)
         EXPECT_GE(p.us, 0.0) << p.name;
 }
 

@@ -201,17 +201,21 @@ TEST_F(ResilientTest, UserErrorStillPropagates)
 TEST_F(ResilientTest, UnimodularOnlyModeYieldsUnimodularTransform)
 {
     // The middle rung in isolation: section 3's example normally needs
-    // a non-unimodular transformation; unimodular-only mode trades the
-    // dropped basis rows for a determinant of +/-1.
-    xform::NormalizeOptions full_opts;
-    xform::NormalizeResult full =
-        xform::accessNormalize(ir::gallery::section3Example(), full_opts);
+    // a non-unimodular transformation; the unimodular legality step
+    // trades the dropped basis rows for a determinant of +/-1.
+    ir::Program prog = ir::gallery::section3Example();
+    xform::NormalizeResult full = xform::accessNormalize(prog);
     ASSERT_FALSE(full.unimodular);
 
-    xform::NormalizeOptions uni_opts;
-    uni_opts.unimodularOnly = true;
-    xform::NormalizeResult uni =
-        xform::accessNormalize(ir::gallery::section3Example(), uni_opts);
+    deps::DependenceInfo dinfo = deps::analyzeDependences(prog, false);
+    xform::NormalizeResult uni = xform::normalizationRecord(
+        xform::buildAccessMatrix(prog), dinfo, prog.nest.depth());
+    xform::basisStep(uni);
+    xform::legalBasisStep(uni);
+    xform::invertibleStep(uni, dinfo, /*enforce_legality=*/true,
+                          /*unimodular=*/true);
+    xform::applyStep(uni, prog);
+    EXPECT_GT(uni.unimodularDropped, 0u);
     EXPECT_TRUE(uni.unimodular);
     EXPECT_TRUE(isUnimodular(uni.transform));
 }

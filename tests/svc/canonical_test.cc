@@ -175,10 +175,6 @@ TEST(CanonicalTest, KeyDependsOnCompileOptions)
     core::CompileOptions validate = base;
     validate.validate = true;
     EXPECT_NE(planKey(c, m, validate), k0);
-
-    core::CompileOptions uniOnly = base;
-    uniOnly.normalize.unimodularOnly = true;
-    EXPECT_NE(planKey(c, m, uniOnly), k0);
 }
 
 TEST(CanonicalTest, KeyIgnoresObservabilityKnobs)
@@ -193,6 +189,62 @@ TEST(CanonicalTest, KeyIgnoresObservabilityKnobs)
     traced.trace = &trace;
     traced.tracePid = 42;
     EXPECT_EQ(planKey(c, m, traced), planKey(c, m, base));
+}
+
+TEST(CanonicalTest, GalleryKeysArePinned)
+{
+    // Plan-cache journals store these keys: a change to the canonical
+    // text or to what planKey hashes would orphan every journaled plan.
+    // Pinned for the 11 gallery kernels under the default options and
+    // under ancc's --search options.
+    struct Golden
+    {
+        const char *name;
+        ir::Program prog;
+        const char *plain;
+        const char *searched;
+    };
+    const Golden golden[] = {
+        {"figure1", ir::gallery::figure1(),
+         "f3ddb9134a6cfda45c3521466b5779c1",
+         "2878384f7186c4d83f4368558f5235eb"},
+        {"section3", ir::gallery::section3Example(),
+         "4752bab97713585c2deb4d3fa84fc9db",
+         "8f7c89faed080f547c72feaf2af54077"},
+        {"scaling", ir::gallery::scalingExample(),
+         "7e0dd33829232358b8e74f4475c1e527",
+         "46912630597498cf98ecb8afce8b77bc"},
+        {"section5", ir::gallery::section5Example(),
+         "a46809c607425b535fa0577689b32a6b",
+         "fdd1e44b228d738f4daf3732bf590969"},
+        {"gemm", ir::gallery::gemm(), "b9031634077b152919564388432dffe5",
+         "28196289255a1ada4684b2b49ecb3332"},
+        {"gemv", ir::gallery::gemv(), "2dfd024e9be647c4cd36e9befaea29d6",
+         "c9addedb02308d1d54c486a4924dd36c"},
+        {"ger", ir::gallery::ger(), "24bd957fdf4f14e43e16c85a432c78f1",
+         "a1b9152e44b64709d192a3699c642c42"},
+        {"jacobi2d", ir::gallery::jacobi2d(),
+         "2f7c39d85efc79d471305b8e4a21bbb8",
+         "41aab7b67f9c8b7a5e1ff834aca84476"},
+        {"gaussSeidel", ir::gallery::gaussSeidel(),
+         "fd820bce5ba5796419de6884ad08ff6c",
+         "987c508a9c5ffaf1b08db10d2a529158"},
+        {"skewedScatter", ir::gallery::skewedScatter(),
+         "bec43c00720de1ad8736d34c9574809a",
+         "bb383205b01845f31ff74e5405fa11ea"},
+        {"syr2kBanded", ir::gallery::syr2kBanded(),
+         "56031d542bc6d9016fab6ab0b19826d6",
+         "35193f30783a3be4c61694d9ff19d506"},
+    };
+    numa::MachineParams m = numa::MachineParams::butterflyGP1000();
+    core::CompileOptions plain;
+    core::CompileOptions searched;
+    searched.search.enabled = true;
+    for (const Golden &g : golden) {
+        CanonicalForm c = canonicalize(g.prog);
+        EXPECT_EQ(planKey(c, m, plain).hex(), g.plain) << g.name;
+        EXPECT_EQ(planKey(c, m, searched).hex(), g.searched) << g.name;
+    }
 }
 
 TEST(CanonicalTest, HexKeyIsStableAnd32Digits)
@@ -238,10 +290,6 @@ TEST(CanonicalTest, KeyCoversEverySemanticsAffectingOptionField)
         {"normalize.useDistributionHint",
          [](core::CompileOptions &o) {
              o.normalize.useDistributionHint = false;
-         }},
-        {"normalize.unimodularOnly",
-         [](core::CompileOptions &o) {
-             o.normalize.unimodularOnly = true;
          }},
         {"search.enabled",
          [](core::CompileOptions &o) { o.search.enabled = true; }},
