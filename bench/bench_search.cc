@@ -19,7 +19,10 @@
  *
  * Output: BENCH_search.json with per-kernel search wall time, summed
  * simulated times for both plans, speedup, candidate counts
- * (enumerated / scored / pruned), and the winning candidate's origin.
+ * (enumerated / scored / pruned), the search's exact work counts
+ * (sim_runs: simulated runs, the sum of the trail's per-candidate
+ * times; bounded: transformations given Fourier-Motzkin loop bounds),
+ * and the winning candidate's origin.
  */
 
 #include <benchmark/benchmark.h>
@@ -121,6 +124,9 @@ printSearchSweep()
         if (c.search.improved)
             ++improved;
         double speedup = winUs > 0.0 ? heurUs / winUs : 1.0;
+        uint64_t simRuns = 0;
+        for (const xform::SearchScore &t : c.search.trail)
+            simRuns += t.simTimesUs.size();
         std::printf("%14s %10llu %10llu %12.1f %12.1f %8.3fx %10.1f  %s\n",
                     k.name,
                     static_cast<unsigned long long>(c.search.enumerated),
@@ -134,6 +140,8 @@ printSearchSweep()
                     {"enumerated", std::to_string(c.search.enumerated)},
                     {"scored", std::to_string(c.search.scored)},
                     {"pruned", std::to_string(c.search.pruned)},
+                    {"sim_runs", std::to_string(simRuns)},
+                    {"bounded", std::to_string(c.search.bounded)},
                     {"winner",
                      "\"" + c.search.winnerOrigin + "\""}});
     }

@@ -34,7 +34,7 @@ isOuterVariable(const AffineExpr &e)
 } // namespace
 
 numa::ExecutionPlan
-planCodegen(const ir::Program &prog, const xform::TransformedNest &nest,
+planCodegen(const ir::Program &prog, const xform::NestRewrite &nest,
             const IntMatrix &dep_matrix,
             const xform::AccessMatrixInfo *access)
 {
@@ -93,17 +93,17 @@ planCodegen(const ir::Program &prog, const xform::TransformedNest &nest,
     size_t eligible_2d = 0, eligible_writes = 0, eligible_reads = 0;
     const ir::ArrayRef *win = nullptr;
     bool win_2d = false, win_write = false;
-    for (const ir::Statement &s : nest.body())
+    for (const ir::Statement &s : nest.body)
         if (probe(consider_2d, s.lhs) && !eligible_2d++) {
             win = &s.lhs;
             win_2d = win_write = true;
         }
-    for (const ir::Statement &s : nest.body())
+    for (const ir::Statement &s : nest.body)
         if (probe(consider, s.lhs) && !eligible_writes++ && !win) {
             win = &s.lhs;
             win_write = true;
         }
-    for (const ir::Statement &s : nest.body())
+    for (const ir::Statement &s : nest.body)
         s.rhs.forEachRef([&](const ir::ArrayRef &r) {
             if (probe(consider, r) && !eligible_reads++ && !win)
                 win = &r;
@@ -132,7 +132,7 @@ planCodegen(const ir::Program &prog, const xform::TransformedNest &nest,
         // matrix: was row 0 of T one of the access rows?
         bool from_access = false;
         if (access) {
-            IntVec row0 = nest.transform().row(0);
+            IntVec row0 = nest.t.row(0);
             for (const xform::AccessRow &ar : access->rows)
                 if (ar.coeffs == row0)
                     from_access = true;
@@ -157,9 +157,9 @@ planCodegen(const ir::Program &prog, const xform::TransformedNest &nest,
 
     // --- Block transfers: reads whose distribution-dimension
     // subscript(s) are invariant in at least the innermost loop.
-    for (size_t si = 0; si < nest.body().size(); ++si) {
+    for (size_t si = 0; si < nest.body.size(); ++si) {
         size_t read_idx = 0;
-        nest.body()[si].rhs.forEachRef([&](const ir::ArrayRef &r) {
+        nest.body[si].rhs.forEachRef([&](const ir::ArrayRef &r) {
             const ir::ArrayDecl &a = prog.arrays[r.arrayId];
             if (a.dist.kind != ir::DistKind::Replicated &&
                 !provably_local(r)) {
@@ -179,7 +179,7 @@ planCodegen(const ir::Program &prog, const xform::TransformedNest &nest,
     // legal); such dependences order iterations of different
     // processors and require synchronization.
     if (dep_matrix.cols() > 0) {
-        IntMatrix td = nest.transform() * dep_matrix;
+        IntMatrix td = nest.t * dep_matrix;
         for (size_t c = 0; c < td.cols(); ++c)
             if (td(0, c) != 0)
                 plan.outerParallel = false;

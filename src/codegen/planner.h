@@ -21,14 +21,16 @@
 namespace anc::codegen {
 
 /**
- * Build the execution plan for a transformed nest.
+ * Build the execution plan for a transformed nest. The plan depends on
+ * T and the rewritten body only, never on the loop bounds, so it takes
+ * the bounds-free part (TransformedNest::rewrite(), or rewriteNest()).
  *
  * dep_matrix holds the source-space distance vectors (columns); pass
  * the access-matrix info when available so that the rationale can
  * distinguish case (ii) from case (iii).
  */
 numa::ExecutionPlan
-planCodegen(const ir::Program &prog, const xform::TransformedNest &nest,
+planCodegen(const ir::Program &prog, const xform::NestRewrite &nest,
             const IntMatrix &dep_matrix,
             const xform::AccessMatrixInfo *access = nullptr);
 

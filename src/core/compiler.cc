@@ -160,7 +160,8 @@ planAndEmit(Compilation &c, bool with_access, bool with_strength,
     tick(cancel);
     {
         auto s = pc.phase("plan");
-        c.plan = codegen::planCodegen(c.program, *c.normalization.nest,
+        c.plan = codegen::planCodegen(c.program,
+                                      c.normalization.nest->rewrite(),
                                       c.normalization.depMatrix,
                                       with_access ? &c.normalization.access
                                                   : nullptr);
@@ -649,6 +650,7 @@ explain(const Compilation &c)
     e.search.enumerated = c.search.enumerated;
     e.search.scored = c.search.scored;
     e.search.pruned = c.search.pruned;
+    e.search.bounded = c.search.bounded;
     for (Int p : c.search.processorSweep)
         e.search.processorSweep.push_back(p);
     e.search.heuristicTimesUs = c.search.heuristicTimesUs;
@@ -671,7 +673,7 @@ explain(const Compilation &c)
     // --- Per-reference stride/contiguity scores under the chosen T.
     if (r.nest) {
         std::vector<xform::RefStride> strides =
-            xform::analyzeInnerStrides(*r.nest);
+            xform::analyzeInnerStrides(r.nest->rewrite());
         std::vector<size_t> read_idx(c.program.nest.body().size(), 0);
         for (const xform::RefStride &rs : strides) {
             obs::ExplainRefScore score;

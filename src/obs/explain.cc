@@ -94,6 +94,7 @@ searchJson(const ExplainSearch &se)
     s += ",\"enumerated\":" + jsonNum(se.enumerated);
     s += ",\"scored\":" + jsonNum(se.scored);
     s += ",\"pruned\":" + jsonNum(se.pruned);
+    s += ",\"bounded\":" + jsonNum(se.bounded);
     s += ",\"processorSweep\":" + numArrayJson(se.processorSweep);
     s += ",\"heuristicTimesUs\":" + numArrayJson(se.heuristicTimesUs);
     s += ",\"winnerTimesUs\":" + numArrayJson(se.winnerTimesUs);
@@ -189,7 +190,8 @@ ExplainRecord::renderText() const
     if (search.ran) {
         os << "plan search: " << search.enumerated << " candidate"
            << (search.enumerated == 1 ? "" : "s") << ", " << search.scored
-           << " scored, " << search.pruned << " pruned\n";
+           << " scored, " << search.pruned << " pruned, "
+           << search.bounded << " bounded\n";
         os << "  heuristic total " << jsonNum(totalOf(search.heuristicTimesUs))
            << " us; winner '" << search.winnerOrigin << "' total "
            << jsonNum(totalOf(search.winnerTimesUs)) << " us ("

@@ -80,7 +80,7 @@ struct ExplainSearchScore
     std::vector<double> simTimesUs; //!< per swept machine size
     double totalUs = -1.0;          //!< sum; -1 when not scored
     /** "winner" | "scored" | "inadmissible" | "pruned" | "redundant" |
-     * "rejected" | "failed-validation". */
+     * "rejected" | "unscored" | "failed-validation". */
     std::string verdict;
     std::string detail;
 };
@@ -95,6 +95,7 @@ struct ExplainSearch
     uint64_t enumerated = 0;
     uint64_t scored = 0;
     uint64_t pruned = 0;
+    uint64_t bounded = 0; //!< transformations given loop bounds
     std::vector<int64_t> processorSweep;
     std::vector<double> heuristicTimesUs; //!< per swept size
     std::vector<double> winnerTimesUs;    //!< per swept size
@@ -130,8 +131,8 @@ struct ExplainRecord
      * {"tier", "degraded", "partial", "transform", "unimodular",
      *  "plan": {"scheme", "rationale", "tieBreak", "outerParallel",
      *  "hoists"}, "search": {"ran", "improved", "enumerated", "scored",
-     *  "pruned", "processorSweep", "heuristicTimesUs", "winnerTimesUs",
-     *  "winnerOrigin", "tieBreak", "trail": [...]},
+     *  "pruned", "bounded", "processorSweep", "heuristicTimesUs",
+     *  "winnerTimesUs", "winnerOrigin", "tieBreak", "trail": [...]},
      *  "candidates": [...], "refs": [...], "notes": [...]},
      * arrays present even when empty. No trailing newline.
      */

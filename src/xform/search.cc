@@ -4,10 +4,12 @@
 #include <functional>
 #include <map>
 #include <numeric>
+#include <optional>
 
 #include "codegen/planner.h"
 #include "deps/dependence.h"
 #include "numa/simulator.h"
+#include "obs/trace.h"
 #include "ratmath/linalg.h"
 #include "verify/verify.h"
 #include "xform/stride.h"
@@ -220,15 +222,30 @@ localityScore(const std::vector<RefStride> &strides,
     return score;
 }
 
+/** One distinct transformation. Its candidates (the planner's scheme
+ * and the forced round-robin variant) share the rewrite, the planning
+ * and, once one of them survives pruning, the loop bounds. */
+struct DistinctTransform
+{
+    std::optional<NestRewrite> rewrite;  //!< unset when `nest` came in
+    std::optional<TransformedNest> nest; //!< bounded on first survival
+    numa::ExecutionPlan plan;            //!< the planner's pick
+    std::string error; //!< why rewriting, planning or bounding failed
+
+    const NestRewrite &
+    rewritten() const
+    {
+        return nest ? nest->rewrite() : *rewrite;
+    }
+};
+
 /** Per-candidate working state during evaluation. */
 struct Evaluated
 {
-    size_t idx;       //!< index into the canonical candidate list
-    std::optional<TransformedNest> nest;
+    size_t idx;      //!< index into the canonical candidate list
+    size_t distinct; //!< index into the distinct transformations
     numa::ExecutionPlan plan;
     bool isHeuristic = false;
-    bool planned = false;
-    bool scoredOk = false;
     bool admissible = false;
     double total = 0.0;
 };
@@ -326,7 +343,10 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
         ordered.push_back(std::move(kv.second));
     r.enumerated = ordered.size();
 
-    // --- Plan every candidate and compute its locality score.
+    // --- Rewrite and plan every distinct transformation once (no loop
+    // bounds: neither the planner nor the locality score reads them),
+    // and compute every candidate's locality score.
+    std::vector<DistinctTransform> distinct;
     std::vector<Evaluated> evals;
     r.trail.resize(ordered.size());
     for (size_t i = 0; i < ordered.size(); ++i) {
@@ -334,31 +354,41 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
         SearchScore &t = r.trail[i];
         t.transform = matrixStr(c.transform);
         t.origin = c.origin;
+        tick(cancel);
+        // Candidates of one transformation are adjacent in canonical
+        // order (the key is the rows, then the scheme choice).
+        if (i == 0 || ordered[i - 1].transform != c.transform) {
+            DistinctTransform &d = distinct.emplace_back();
+            try {
+                if (c.transform == norm.transform)
+                    d.nest = *norm.nest; // already bounded
+                else
+                    d.rewrite = rewriteNest(prog, c.transform);
+                d.plan = codegen::planCodegen(prog, d.rewritten(),
+                                              norm.depMatrix, &norm.access);
+            } catch (const core::DeadlineExceeded &) {
+                throw;
+            } catch (const UserError &e) {
+                d.error = std::string("transform not applicable: ") +
+                          e.what();
+            } catch (const Error &e) {
+                d.error = e.what();
+            }
+        }
+        const DistinctTransform &d = distinct.back();
         Evaluated ev;
         ev.idx = i;
+        ev.distinct = distinct.size() - 1;
         ev.isHeuristic =
             !c.forceRoundRobin && c.transform == norm.transform;
-        try {
-            tick(cancel);
-            ev.nest = ev.isHeuristic
-                          ? *norm.nest
-                          : applyTransform(prog, c.transform);
-            ev.plan = ev.isHeuristic
-                          ? heuristic_plan
-                          : codegen::planCodegen(prog, *ev.nest,
-                                                 norm.depMatrix,
-                                                 &norm.access);
-        } catch (const core::DeadlineExceeded &) {
-            throw;
-        } catch (const UserError &e) {
+        if (ev.isHeuristic) {
+            ev.plan = heuristic_plan;
+        } else if (!d.error.empty()) {
             t.verdict = "rejected";
-            t.detail = std::string("transform not applicable: ") +
-                       e.what();
+            t.detail = d.error;
             continue;
-        } catch (const Error &e) {
-            t.verdict = "rejected";
-            t.detail = e.what();
-            continue;
+        } else {
+            ev.plan = d.plan;
         }
         if (c.forceRoundRobin) {
             if (ev.plan.scheme == numa::PartitionScheme::RoundRobin) {
@@ -374,13 +404,16 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
         const char *schemes[] = {"round-robin", "owner-wrapped",
                                  "owner-blocked", "owner-block2d"};
         t.scheme = schemes[size_t(ev.plan.scheme)];
-        t.locality = localityScore(analyzeInnerStrides(*ev.nest), ev.plan);
-        ev.planned = true;
+        t.locality =
+            localityScore(analyzeInnerStrides(d.rewritten()), ev.plan);
         evals.push_back(std::move(ev));
     }
 
     // --- Prune: keep the `budget` best locality scores (heuristic
-    // always survives). Stable on the canonical order.
+    // always survives), stable on the canonical order. Walk the ranking
+    // and bound each candidate the budget keeps; one whose bounds fail
+    // is rejected and the next candidate in the ranking takes its slot.
+    // Candidates below the cut are never bounded.
     size_t budget = opts.budget > 0 ? size_t(opts.budget) : 1;
     std::vector<size_t> rank(evals.size());
     std::iota(rank.begin(), rank.end(), 0);
@@ -395,19 +428,33 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
     std::vector<char> keep(evals.size(), 0);
     size_t kept = 0;
     for (size_t k : rank) {
-        if (kept < budget || evals[k].isHeuristic) {
-            keep[k] = 1;
-            ++kept;
-        }
-    }
-    for (size_t k = 0; k < evals.size(); ++k)
-        if (!keep[k]) {
-            SearchScore &t = r.trail[evals[k].idx];
+        SearchScore &t = r.trail[evals[k].idx];
+        if (kept >= budget && !evals[k].isHeuristic) {
             t.verdict = "pruned";
             t.detail = "locality score outside the top " +
                        std::to_string(budget);
             ++r.pruned;
+            continue;
         }
+        DistinctTransform &d = distinct[evals[k].distinct];
+        if (!d.nest && d.error.empty()) {
+            ++r.bounded;
+            try {
+                d.nest = boundNest(prog, *d.rewrite);
+            } catch (const core::DeadlineExceeded &) {
+                throw;
+            } catch (const Error &e) {
+                d.error = std::string("loop bounds failed: ") + e.what();
+            }
+        }
+        if (!d.nest) {
+            t.verdict = "rejected";
+            t.detail = d.error;
+            continue;
+        }
+        keep[k] = 1;
+        ++kept;
+    }
     std::vector<Evaluated> survivors;
     survivors.reserve(kept);
     for (size_t k = 0; k < evals.size(); ++k)
@@ -415,76 +462,82 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
             survivors.push_back(std::move(evals[k]));
     evals = std::move(survivors);
 
-    // --- Score the survivors with the symmetry-aggregated simulator.
+    // --- Score with the symmetry-aggregated simulator. The heuristic
+    // runs at every swept size first: it is the bar every other
+    // survivor must meet at every size. Every other survivor then runs
+    // in sweep order and stops at the first size where it is slower --
+    // it can no longer be admitted, so its remaining sizes could not
+    // change the selection. Admissible candidates run every size.
     ir::Bindings binds{IntVec(prog.params.size(), opts.paramValue),
                        std::vector<double>(prog.scalars.size(), 1.0)};
-    const Evaluated *heur = nullptr;
-    for (Evaluated &ev : evals) {
+    auto simulate = [&](const Evaluated &ev, const std::vector<double> *bar) {
         SearchScore &t = r.trail[ev.idx];
-        t.simTimesUs.clear();
-        bool failed = false;
-        for (Int p : opts.processorSweep) {
+        const TransformedNest &nest = *distinct[ev.distinct].nest;
+        for (size_t j = 0; j < opts.processorSweep.size(); ++j) {
             tick(cancel); // small step budget per simulated run
             numa::SimOptions sopts;
-            sopts.processors = p;
+            sopts.processors = opts.processorSweep[j];
             sopts.machine = opts.machine;
             sopts.symmetry = numa::SymmetryMode::Auto;
             sopts.hostThreads = opts.hostThreads;
             try {
-                numa::Simulator sim(prog, *ev.nest, ev.plan, sopts);
-                t.simTimesUs.push_back(
-                    sim.run(binds).parallelTime());
+                numa::Simulator sim(prog, nest, ev.plan, sopts);
+                t.simTimesUs.push_back(sim.run(binds).parallelTime());
             } catch (const core::DeadlineExceeded &) {
                 throw;
             } catch (const UserError &e) {
                 t.verdict = "rejected";
                 t.detail = std::string("not simulable: ") + e.what();
-                failed = true;
-                break;
+                t.simTimesUs.clear();
+                return false;
             } catch (const Error &e) {
                 t.verdict = "rejected";
                 t.detail = std::string("simulation failed: ") + e.what();
-                failed = true;
-                break;
+                t.simTimesUs.clear();
+                return false;
             }
+            if (bar && t.simTimesUs[j] > (*bar)[j])
+                break;
         }
-        if (failed) {
-            t.simTimesUs.clear();
+        ++r.scored;
+        return true;
+    };
+    auto heur = std::find_if(evals.begin(), evals.end(),
+                             [](const Evaluated &ev) {
+                                 return ev.isHeuristic;
+                             });
+    if (heur == evals.end() || !simulate(*heur, nullptr)) {
+        // Nothing can be admitted without the heuristic's times to
+        // compare against: simulate nothing else, keep the heuristic.
+        for (Evaluated &ev : evals)
+            if (!ev.isHeuristic) {
+                SearchScore &t = r.trail[ev.idx];
+                t.verdict = "unscored";
+                t.detail = "the heuristic could not be simulated, so "
+                           "no candidate can be admitted";
+            }
+        return r;
+    }
+    r.heuristicTimesUs = r.trail[heur->idx].simTimesUs;
+    for (Evaluated &ev : evals) {
+        if (!ev.isHeuristic && !simulate(ev, &r.heuristicTimesUs))
+            continue;
+        SearchScore &t = r.trail[ev.idx];
+        size_t last = t.simTimesUs.size() - 1;
+        if (t.simTimesUs[last] > r.heuristicTimesUs[last]) {
+            t.verdict = "inadmissible";
+            t.detail = "slower than the heuristic at P=" +
+                       std::to_string(opts.processorSweep[last]) + " (" +
+                       obs::jsonNum(t.simTimesUs[last]) + " us vs " +
+                       obs::jsonNum(r.heuristicTimesUs[last]) + " us)";
             continue;
         }
-        ev.scoredOk = true;
-        ++r.scored;
+        ev.admissible = true;
+        t.verdict = "scored";
         t.totalUs = 0.0;
         for (double v : t.simTimesUs)
             t.totalUs += v;
         ev.total = t.totalUs;
-        if (ev.isHeuristic)
-            heur = &ev;
-    }
-    if (!heur) {
-        // The heuristic itself failed to score: nothing to anchor
-        // admissibility, return it unchanged.
-        for (SearchScore &t : r.trail)
-            if (t.verdict.empty())
-                t.verdict = "scored";
-        return r;
-    }
-    r.heuristicTimesUs = r.trail[heur->idx].simTimesUs;
-
-    // --- Admissibility: beat-or-tie the heuristic at EVERY swept size.
-    for (Evaluated &ev : evals) {
-        if (!ev.scoredOk)
-            continue;
-        SearchScore &t = r.trail[ev.idx];
-        ev.admissible = true;
-        for (size_t j = 0; j < t.simTimesUs.size(); ++j)
-            if (t.simTimesUs[j] > r.heuristicTimesUs[j]) {
-                ev.admissible = false;
-                break;
-            }
-        t.verdict = ev.admissible ? "scored" : "inadmissible";
-        if (!ev.admissible)
-            t.detail = "slower than the heuristic at some swept size";
     }
 
     // --- Select: minimum total among admissible candidates; ties go to
@@ -515,7 +568,7 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
             verify::ValidateOptions vopts;
             vopts.cancel = cancel;
             verify::ValidationReport report = verify::validate(
-                prog, *ev->nest, norm.depMatrix, vopts);
+                prog, *distinct[ev->distinct].nest, norm.depMatrix, vopts);
             if (!report.passed()) {
                 t.verdict = "failed-validation";
                 t.detail = report.firstFailure();
@@ -536,7 +589,7 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
         r.improved = !ev->isHeuristic && ev->total < heur->total;
         if (!ev->isHeuristic) {
             r.transform = ordered[ev->idx].transform;
-            r.nest = std::move(ev->nest);
+            r.nest = std::move(distinct[ev->distinct].nest);
             r.plan = std::move(ev->plan);
         }
         return r;

@@ -15,12 +15,23 @@
  *      variant);
  *   2. sort the deduplicated set by a documented canonical key so the
  *      outcome is independent of enumeration order;
- *   3. prune with a cheap stride/locality score from
- *      analyzeInnerStrides, keeping the best `budget` candidates (the
- *      heuristic always survives);
- *   4. score each survivor by simulating it at every machine size in
- *      the processor sweep (SimOptions::symmetry = Auto), charging one
- *      deadline step per simulated run;
+ *   3. rewrite and plan each distinct transformation once, without
+ *      loop bounds (rewriteNest; the planner and the stride analysis
+ *      never read a bound), and rank every candidate by a cheap
+ *      stride/locality score from analyzeInnerStrides. Walk the
+ *      ranking and keep the best `budget` candidates (the heuristic
+ *      always survives), computing Fourier-Motzkin bounds (boundNest)
+ *      only for the ones kept: a candidate whose bounds fail is
+ *      rejected and the next one in the ranking takes its slot, and a
+ *      candidate below the cut is never bounded;
+ *   4. score by simulation (SimOptions::symmetry = Auto), charging one
+ *      deadline step per simulated run: the heuristic at every machine
+ *      size in the processor sweep first, then every other survivor in
+ *      sweep order, stopping it at the first size where it is slower
+ *      than the heuristic -- that candidate is inadmissible whatever
+ *      its remaining sizes would say, so its trail entry keeps the
+ *      times it ran and no total. If the heuristic cannot be
+ *      simulated, nothing else is (verdict "unscored");
  *   5. select the admissible candidate -- one whose simulated time is
  *      <= the heuristic's at EVERY swept size, so the searched plan is
  *      never worse than the heuristic anywhere it was measured -- with
@@ -99,13 +110,14 @@ struct SearchScore
     std::string scheme; //!< partition scheme after planning ("" if none)
     /** Cheap stride/locality score used for pruning (lower is better). */
     double locality = 0.0;
-    /** Simulated parallel time per swept machine size (empty when the
-     * candidate was pruned or rejected before scoring). */
+    /** Simulated parallel time per swept machine size, in sweep order
+     * (empty when the candidate was pruned or rejected before scoring;
+     * an inadmissible candidate's stops at the first size it lost). */
     std::vector<double> simTimesUs;
-    /** Sum of simTimesUs; -1 when not scored. */
+    /** Sum of simTimesUs; -1 when not scored or inadmissible. */
     double totalUs = -1.0;
     /** "winner" | "scored" | "inadmissible" | "pruned" | "redundant" |
-     * "rejected" | "failed-validation". */
+     * "rejected" | "unscored" | "failed-validation". */
     std::string verdict;
     std::string detail; //!< why, when there is something to say
 };
@@ -121,6 +133,9 @@ struct SearchResult
     uint64_t enumerated = 0; //!< unique candidates after dedup
     uint64_t scored = 0;     //!< candidates the simulator ran
     uint64_t pruned = 0;     //!< dropped by the locality pre-filter
+    /** Transformations whose Fourier-Motzkin loop bounds the search
+     * computed: at most one per distinct non-heuristic survivor. */
+    uint64_t bounded = 0;
     std::vector<Int> processorSweep; //!< copy of the swept sizes
     std::vector<double> heuristicTimesUs; //!< heuristic per swept size
     std::vector<double> winnerTimesUs;    //!< winner per swept size

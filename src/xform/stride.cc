@@ -35,14 +35,14 @@ analyzeInnerStrides(const ir::LoopNest &nest)
 }
 
 std::vector<RefStride>
-analyzeInnerStrides(const TransformedNest &nest)
+analyzeInnerStrides(const NestRewrite &nest)
 {
-    // Guard before touching loops().back(): a zero-depth nest has no
-    // innermost loop (and no references that could stride along it).
+    // A zero-depth nest has no innermost loop (and no references that
+    // could stride along it).
     if (nest.depth() == 0)
         return {};
-    return analyze(nest.body(), nest.depth(),
-                   nest.loops().back().stride);
+    return analyze(nest.body, nest.depth(),
+                   nest.lattice.stride(nest.depth() - 1));
 }
 
 } // namespace anc::xform

@@ -64,8 +64,10 @@ std::vector<RefStride> analyzeInnerStrides(const ir::LoopNest &nest);
 /** Strides of every reference along the innermost loop of a
  * transformed nest (scaled by the lattice stride of that loop, which
  * HNF makes positive -- see RefStride::strides for the sign
- * semantics). Returns an empty list for a zero-depth nest. */
-std::vector<RefStride> analyzeInnerStrides(const TransformedNest &nest);
+ * semantics). Needs no loop bounds, so it takes the bounds-free part
+ * (TransformedNest::rewrite()). Returns an empty list for a zero-depth
+ * nest. */
+std::vector<RefStride> analyzeInnerStrides(const NestRewrite &nest);
 
 } // namespace anc::xform
 

@@ -9,13 +9,10 @@ namespace anc::xform {
 
 using ir::AffineExpr;
 
-TransformedNest::TransformedNest(IntMatrix t, RatMatrix t_inv,
-                                 Lattice lattice,
+TransformedNest::TransformedNest(NestRewrite rewrite,
                                  std::vector<TransformedLoop> loops,
-                                 std::vector<ir::Statement> body,
                                  std::vector<AffineExpr> param_conditions)
-    : t_(std::move(t)), tInv_(std::move(t_inv)), lattice_(std::move(lattice)),
-      loops_(std::move(loops)), body_(std::move(body)),
+    : rw_(std::move(rewrite)), loops_(std::move(loops)),
       paramConditions_(std::move(param_conditions))
 {}
 
@@ -56,15 +53,15 @@ TransformedNest::upperAt(size_t k, const IntVec &u,
 Int
 TransformedNest::startAt(size_t k, Int lower, const IntVec &y_prefix) const
 {
-    Int anchor = lattice_.anchor(k, y_prefix);
-    Int s = lattice_.stride(k);
+    Int anchor = rw_.lattice.anchor(k, y_prefix);
+    Int s = rw_.lattice.stride(k);
     return checkedAdd(lower, euclidMod(checkedSub(anchor, lower), s));
 }
 
 IntVec
 TransformedNest::oldIteration(const IntVec &u) const
 {
-    RatVec x = tInv_.apply(toRational(u));
+    RatVec x = rw_.tInv.apply(toRational(u));
     IntVec out(x.size());
     for (size_t i = 0; i < x.size(); ++i)
         out[i] = x[i].asInteger();
@@ -89,12 +86,12 @@ TransformedNest::forEachIteration(
         Int hi = upperAt(k, u, params);
         if (lo > hi)
             return 0;
-        Int s = lattice_.stride(k);
+        Int s = rw_.lattice.stride(k);
         Int start = startAt(k, lo, y);
         uint64_t count = 0;
         for (Int v = start; v <= hi; v += s) {
             u[k] = v;
-            y.push_back(lattice_.solveY(k, v, y));
+            y.push_back(rw_.lattice.solveY(k, v, y));
             count += walk(k + 1);
             y.pop_back();
         }
@@ -109,7 +106,7 @@ TransformedNest::run(const ir::Bindings &binds, ir::ArrayStorage &store,
                      const ir::TraceFn &trace) const
 {
     return forEachIteration(binds.paramValues, [&](const IntVec &u) {
-        for (const ir::Statement &s : body_)
+        for (const ir::Statement &s : rw_.body)
             ir::execStatement(s, u, binds, store, trace);
     });
 }
@@ -123,34 +120,16 @@ newLoopVarName(size_t k)
     return "u" + std::to_string(k);
 }
 
-TransformedNest
-applyTransform(const ir::Program &prog, const IntMatrix &t)
+NestRewrite
+rewriteNest(const ir::Program &prog, const IntMatrix &t)
 {
-    size_t n = prog.nest.depth();
-    size_t p = prog.params.size();
-    if (!t.isSquare() || t.rows() != n)
+    if (!t.isSquare() || t.rows() != prog.nest.depth())
         throw InternalError("transformation has wrong shape");
     auto t_inv = tryInverse(toRational(t));
     if (!t_inv)
         throw MathError("transformation matrix is singular");
 
-    // Constraints over the new space: substitute x = T^{-1} u.
-    std::vector<ir::LinearConstraint> cons;
-    for (const ir::LinearConstraint &c : prog.nest.constraints(p)) {
-        AffineExpr e = c.toAffine().composeWithVarMap(*t_inv);
-        cons.push_back(ir::LinearConstraint::fromAffine(e));
-    }
-    FMBounds fm = fourierMotzkin(cons, n, p);
-
     Lattice lattice(t);
-
-    std::vector<TransformedLoop> loops(n);
-    for (size_t k = 0; k < n; ++k) {
-        loops[k].var = newLoopVarName(k);
-        loops[k].lower = fm.lower[k];
-        loops[k].upper = fm.upper[k];
-        loops[k].stride = lattice.stride(k);
-    }
 
     // Rewrite the body through the inverse map.
     std::vector<ir::Statement> body = prog.nest.body();
@@ -158,9 +137,39 @@ applyTransform(const ir::Program &prog, const IntMatrix &t)
         s.forEachAffineMut(
             [&](AffineExpr &e) { e = e.composeWithVarMap(*t_inv); });
     }
+    return NestRewrite{t, std::move(*t_inv), std::move(lattice),
+                       std::move(body)};
+}
 
-    return TransformedNest(t, *t_inv, std::move(lattice), std::move(loops),
-                           std::move(body), fm.paramConditions);
+TransformedNest
+boundNest(const ir::Program &prog, NestRewrite rewrite)
+{
+    size_t n = rewrite.depth();
+    size_t p = prog.params.size();
+
+    // Constraints over the new space: substitute x = T^{-1} u.
+    std::vector<ir::LinearConstraint> cons;
+    for (const ir::LinearConstraint &c : prog.nest.constraints(p)) {
+        AffineExpr e = c.toAffine().composeWithVarMap(rewrite.tInv);
+        cons.push_back(ir::LinearConstraint::fromAffine(e));
+    }
+    FMBounds fm = fourierMotzkin(cons, n, p);
+
+    std::vector<TransformedLoop> loops(n);
+    for (size_t k = 0; k < n; ++k) {
+        loops[k].var = newLoopVarName(k);
+        loops[k].lower = std::move(fm.lower[k]);
+        loops[k].upper = std::move(fm.upper[k]);
+        loops[k].stride = rewrite.lattice.stride(k);
+    }
+    return TransformedNest(std::move(rewrite), std::move(loops),
+                           std::move(fm.paramConditions));
+}
+
+TransformedNest
+applyTransform(const ir::Program &prog, const IntMatrix &t)
+{
+    return boundNest(prog, rewriteNest(prog, t));
 }
 
 std::string

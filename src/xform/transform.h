@@ -12,6 +12,13 @@
  *
  * For unimodular T the lattice is all of Z^n, every stride is 1, and the
  * machinery degenerates to Banerjee's framework, as the paper notes.
+ *
+ * Applying T is two steps. rewriteNest() computes everything that does
+ * not need loop bounds -- T^{-1}, the lattice and the rewritten body,
+ * which is all the planner and the stride analysis read -- and
+ * boundNest() adds the Fourier-Motzkin bounds, the expensive part.
+ * applyTransform() is their composition; the plan search rewrites every
+ * candidate but bounds only the ones it keeps.
  */
 
 #ifndef ANC_XFORM_TRANSFORM_H
@@ -36,21 +43,32 @@ struct TransformedLoop
     Int stride; //!< H[k][k]; 1 for unimodular transformations
 };
 
+/** The bounds-free part of a transformed nest: T, T^{-1}, the image
+ * lattice and the body rewritten through x = T^{-1} u. */
+struct NestRewrite
+{
+    IntMatrix t;
+    RatMatrix tInv;
+    Lattice lattice;
+    std::vector<ir::Statement> body;
+
+    size_t depth() const { return t.rows(); }
+};
+
 /** A restructured loop nest, executable and printable. */
 class TransformedNest
 {
   public:
-    TransformedNest(IntMatrix t, RatMatrix t_inv, Lattice lattice,
-                    std::vector<TransformedLoop> loops,
-                    std::vector<ir::Statement> body,
+    TransformedNest(NestRewrite rewrite, std::vector<TransformedLoop> loops,
                     std::vector<ir::AffineExpr> param_conditions);
 
     size_t depth() const { return loops_.size(); }
-    const IntMatrix &transform() const { return t_; }
-    const RatMatrix &inverseTransform() const { return tInv_; }
-    const Lattice &lattice() const { return lattice_; }
+    const NestRewrite &rewrite() const { return rw_; }
+    const IntMatrix &transform() const { return rw_.t; }
+    const RatMatrix &inverseTransform() const { return rw_.tInv; }
+    const Lattice &lattice() const { return rw_.lattice; }
     const std::vector<TransformedLoop> &loops() const { return loops_; }
-    const std::vector<ir::Statement> &body() const { return body_; }
+    const std::vector<ir::Statement> &body() const { return rw_.body; }
     const std::vector<ir::AffineExpr> &
     paramConditions() const
     {
@@ -91,18 +109,28 @@ class TransformedNest
                  const ir::TraceFn &trace = nullptr) const;
 
   private:
-    IntMatrix t_;
-    RatMatrix tInv_;
-    Lattice lattice_;
+    NestRewrite rw_;
     std::vector<TransformedLoop> loops_;
-    std::vector<ir::Statement> body_;
     std::vector<ir::AffineExpr> paramConditions_;
 };
 
 /**
- * Apply the invertible transformation t to the program's nest.
- * Throws MathError if t is singular and UserError if the space is
- * unbounded.
+ * The bounds-free step of applying t: T^{-1}, the lattice and the body
+ * rewritten through the inverse map. Throws MathError if t is singular.
+ */
+NestRewrite rewriteNest(const ir::Program &prog, const IntMatrix &t);
+
+/**
+ * The bounds step: Fourier-Motzkin elimination of the source
+ * constraints substituted through T^{-1}, one loop per level with the
+ * lattice stride. Throws UserError if the space is unbounded.
+ */
+TransformedNest boundNest(const ir::Program &prog, NestRewrite rewrite);
+
+/**
+ * Apply the invertible transformation t to the program's nest:
+ * boundNest(prog, rewriteNest(prog, t)). Throws MathError if t is
+ * singular and UserError if the space is unbounded.
  */
 TransformedNest applyTransform(const ir::Program &prog, const IntMatrix &t);
 

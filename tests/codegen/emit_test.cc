@@ -24,7 +24,7 @@ TEST(EmitGemm, MatchesPaperSection81Structure)
     ir::Program p = ir::gallery::gemm();
     xform::NormalizeResult r = xform::accessNormalize(p);
     numa::ExecutionPlan plan =
-        planCodegen(p, *r.nest, r.depMatrix, &r.access);
+        planCodegen(p, r.nest->rewrite(), r.depMatrix, &r.access);
     std::string s = emitNodeProgram(p, *r.nest, plan);
     EXPECT_NE(s.find("step P"), std::string::npos) << s;
     EXPECT_NE(s.find("read A[*, v]"), std::string::npos) << s;
@@ -38,7 +38,7 @@ TEST(EmitSyr2k, HasFourBlockReads)
     ir::Program p = ir::gallery::syr2kBanded();
     xform::NormalizeResult r = xform::accessNormalize(p);
     numa::ExecutionPlan plan =
-        planCodegen(p, *r.nest, r.depMatrix, &r.access);
+        planCodegen(p, r.nest->rewrite(), r.depMatrix, &r.access);
     std::string s = emitNodeProgram(p, *r.nest, plan);
     size_t reads = 0, pos = 0;
     while ((pos = s.find("read ", pos)) != std::string::npos) {

@@ -21,7 +21,7 @@ TEST(PlannerGemm, CaseOneOwnerWrapped)
     ir::Program p = ir::gallery::gemm();
     xform::NormalizeResult r = xform::accessNormalize(p);
     numa::ExecutionPlan plan =
-        planCodegen(p, *r.nest, r.depMatrix, &r.access);
+        planCodegen(p, r.nest->rewrite(), r.depMatrix, &r.access);
     EXPECT_EQ(plan.scheme, PartitionScheme::OwnerWrapped);
     ASSERT_TRUE(plan.alignedArray.has_value());
     EXPECT_EQ(p.arrays[*plan.alignedArray].name, "C");
@@ -41,7 +41,7 @@ TEST(PlannerSyr2k, CaseOneAndHoists)
     ir::Program p = ir::gallery::syr2kBanded();
     xform::NormalizeResult r = xform::accessNormalize(p);
     numa::ExecutionPlan plan =
-        planCodegen(p, *r.nest, r.depMatrix, &r.access);
+        planCodegen(p, r.nest->rewrite(), r.depMatrix, &r.access);
     EXPECT_EQ(plan.scheme, PartitionScheme::OwnerWrapped);
     EXPECT_EQ(p.arrays[*plan.alignedArray].name, "Cb");
     EXPECT_TRUE(plan.outerParallel);
@@ -64,7 +64,7 @@ TEST(PlannerUntransformed, RoundRobinForGemm)
     xform::AccessMatrixInfo access = xform::buildAccessMatrix(p);
     IntMatrix dep(3, 1);
     dep(2, 0) = 1;
-    numa::ExecutionPlan plan = planCodegen(p, nest, dep, &access);
+    numa::ExecutionPlan plan = planCodegen(p, nest.rewrite(), dep, &access);
     EXPECT_EQ(plan.scheme, PartitionScheme::RoundRobin);
     EXPECT_FALSE(plan.alignedArray.has_value());
     EXPECT_NE(plan.rationale.find("case (ii)"), std::string::npos);
@@ -86,7 +86,7 @@ TEST(PlannerPadding, CaseThreeDetected)
                 {0, 0, 0, 1}};
     xform::TransformedNest nest = xform::applyTransform(p, t);
     numa::ExecutionPlan plan =
-        planCodegen(p, nest, IntMatrix(4, 0), &access);
+        planCodegen(p, nest.rewrite(), IntMatrix(4, 0), &access);
     EXPECT_EQ(plan.scheme, PartitionScheme::RoundRobin);
     EXPECT_NE(plan.rationale.find("case (iii)"), std::string::npos);
 }
@@ -110,7 +110,8 @@ TEST(PlannerBlocked, OwnerBlockedScheme)
     // already aligns: subscript i == outer var.
     xform::TransformedNest nest =
         xform::applyTransform(p, IntMatrix::identity(2));
-    numa::ExecutionPlan plan = planCodegen(p, nest, IntMatrix(2, 0));
+    numa::ExecutionPlan plan =
+        planCodegen(p, nest.rewrite(), IntMatrix(2, 0));
     EXPECT_EQ(plan.scheme, PartitionScheme::OwnerBlocked);
     EXPECT_EQ(*plan.alignedArray, arr_c);
 }
@@ -129,7 +130,8 @@ TEST(PlannerHoists, InvariantEverywhereGetsLevelMinusOne)
     ir::Program p = b.build();
     xform::TransformedNest nest =
         xform::applyTransform(p, IntMatrix::identity(2));
-    numa::ExecutionPlan plan = planCodegen(p, nest, IntMatrix(2, 0));
+    numa::ExecutionPlan plan =
+        planCodegen(p, nest.rewrite(), IntMatrix(2, 0));
     ASSERT_EQ(plan.hoists.size(), 1u);
     EXPECT_EQ(plan.hoists[0].level, -1);
 }
@@ -148,7 +150,8 @@ TEST(PlannerHoists, InnermostVaryingSubscriptNotHoisted)
     ir::Program p = b.build();
     xform::TransformedNest nest =
         xform::applyTransform(p, IntMatrix::identity(2));
-    numa::ExecutionPlan plan = planCodegen(p, nest, IntMatrix(2, 0));
+    numa::ExecutionPlan plan =
+        planCodegen(p, nest.rewrite(), IntMatrix(2, 0));
     EXPECT_TRUE(plan.hoists.empty());
 }
 
@@ -157,7 +160,7 @@ TEST(PlannerDescribe, MentionsScheme)
     ir::Program p = ir::gallery::gemm();
     xform::NormalizeResult r = xform::accessNormalize(p);
     numa::ExecutionPlan plan =
-        planCodegen(p, *r.nest, r.depMatrix, &r.access);
+        planCodegen(p, r.nest->rewrite(), r.depMatrix, &r.access);
     std::string s = describePlan(plan, p);
     EXPECT_NE(s.find("owner-aligned (wrapped)"), std::string::npos);
     EXPECT_NE(s.find("aligned array: C"), std::string::npos);

@@ -272,6 +272,102 @@ TEST_F(SearchFaultTest, FaultSweepDegradesToHeuristicWithoutCrashing)
     }
 }
 
+TEST_F(SearchFaultTest, FaultInSurvivorBoundsPromotesTheNextRanked)
+{
+    // Loop bounds are computed only for the candidates the locality
+    // ranking keeps. A fault inside a survivor's bounds step must reject
+    // that survivor and hand its slot to the next candidate in the
+    // ranking, exactly as if the candidate had failed before pruning.
+    ir::Program prog = ir::gallery::gemm(); // heuristic wins: no validation
+    Compilation heur = compile(prog);
+    xform::SearchOptions so;
+    so.enabled = true;
+    so.hostThreads = 1; // every checked operation on this thread
+    std::vector<xform::SearchCandidate> cands =
+        xform::enumerateSearchCandidates(prog, heur.normalization, so);
+    auto search = [&] {
+        return xform::searchOverCandidates(prog, heur.normalization,
+                                           heur.plan, cands, so);
+    };
+    fault::startCounting();
+    xform::SearchResult clean = search();
+    uint64_t total = fault::opCount();
+    fault::disarm();
+    ASSERT_GT(clean.pruned, 0u);
+    ASSERT_GT(clean.bounded, 0u);
+
+    auto boundsFailure = [](const xform::SearchScore &t) {
+        return t.detail.rfind("loop bounds failed", 0) == 0;
+    };
+    // True when the fault at operation k landed after the rewrite and
+    // planning phase: the search returned, and every candidate it lost
+    // failed in bounding or scoring.
+    auto afterPlanning = [&](uint64_t k, xform::SearchResult *out) {
+        fault::ScopedFault f(k);
+        xform::SearchResult r;
+        try {
+            r = search();
+        } catch (const Error &) {
+            return false; // the locality score runs unguarded
+        }
+        for (size_t i = 0; i < r.trail.size(); ++i) {
+            const xform::SearchScore &t = r.trail[i];
+            if (t.verdict == "rejected" &&
+                clean.trail[i].verdict != "rejected" &&
+                !boundsFailure(t) &&
+                t.detail.rfind("simulation failed", 0) != 0)
+                return false;
+        }
+        if (out)
+            *out = std::move(r);
+        return true;
+    };
+    // The first checked operation after planning is the first one of
+    // the first survivor's bounds step.
+    uint64_t lo = 1, hi = total;
+    while (lo < hi) {
+        uint64_t mid = lo + (hi - lo) / 2;
+        if (afterPlanning(mid, nullptr))
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    xform::SearchResult faulted;
+    ASSERT_TRUE(afterPlanning(lo, &faulted));
+
+    // The candidate ranked first below the cut in the clean run.
+    std::vector<size_t> ranked;
+    for (size_t i = 0; i < clean.trail.size(); ++i)
+        if (clean.trail[i].verdict != "rejected" &&
+            clean.trail[i].verdict != "redundant")
+            ranked.push_back(i);
+    std::stable_sort(ranked.begin(), ranked.end(), [&](size_t a, size_t b) {
+        return clean.trail[a].locality < clean.trail[b].locality;
+    });
+    auto next = std::find_if(ranked.begin(), ranked.end(), [&](size_t i) {
+        return clean.trail[i].verdict == "pruned";
+    });
+    ASSERT_NE(next, ranked.end());
+
+    size_t rejected = 0;
+    for (size_t i = 0; i < faulted.trail.size(); ++i) {
+        if (!boundsFailure(faulted.trail[i]))
+            continue;
+        ++rejected;
+        EXPECT_EQ(faulted.trail[i].verdict, "rejected");
+        EXPECT_TRUE(faulted.trail[i].simTimesUs.empty());
+        EXPECT_FALSE(clean.trail[i].simTimesUs.empty())
+            << "the faulted candidate was a survivor";
+    }
+    EXPECT_GE(rejected, 1u);
+    const xform::SearchScore &promoted = faulted.trail[*next];
+    EXPECT_NE(promoted.verdict, "pruned") << promoted.origin;
+    EXPECT_FALSE(promoted.simTimesUs.empty()) << promoted.origin;
+    EXPECT_EQ(faulted.scored, clean.scored);
+    EXPECT_EQ(faulted.pruned + rejected, clean.pruned);
+    EXPECT_EQ(faulted.winnerOrigin, clean.winnerOrigin);
+}
+
 TEST(SearchTest, DisabledSearchLeavesNoTrace)
 {
     Compilation c = compile(ir::gallery::gemm());

@@ -59,9 +59,9 @@ rebuild(const xform::TransformedNest &nest,
         std::vector<xform::TransformedLoop> loops,
         std::vector<ir::Statement> body)
 {
-    return xform::TransformedNest(nest.transform(),
-                                  nest.inverseTransform(), nest.lattice(),
-                                  std::move(loops), std::move(body),
+    xform::NestRewrite rw = nest.rewrite();
+    rw.body = std::move(body);
+    return xform::TransformedNest(std::move(rw), std::move(loops),
                                   nest.paramConditions());
 }
 
@@ -383,12 +383,10 @@ TEST(SymbolicTest, GalleryTamperShapesFailOnBothSides)
         // Perturbed transform entry: the nest no longer describes
         // T(source space), and T * T^-1 != I.
         core::Compilation c = core::compile(ir::gallery::gemm());
-        IntMatrix t2 = c.nest().transform();
-        t2(0, 0) = t2(0, 0) + 1;
-        xform::TransformedNest bad(
-            t2, c.nest().inverseTransform(), c.nest().lattice(),
-            c.nest().loops(), c.nest().body(),
-            c.nest().paramConditions());
+        xform::NestRewrite rw = c.nest().rewrite();
+        rw.t(0, 0) = rw.t(0, 0) + 1;
+        xform::TransformedNest bad(std::move(rw), c.nest().loops(),
+                                   c.nest().paramConditions());
         ValidationReport r = validate(c.program, bad,
                                       c.normalization.depMatrix,
                                       symbolicOnly());

@@ -44,9 +44,9 @@ rebuild(const xform::TransformedNest &nest,
         std::vector<xform::TransformedLoop> loops,
         std::vector<ir::Statement> body)
 {
-    return xform::TransformedNest(nest.transform(),
-                                  nest.inverseTransform(), nest.lattice(),
-                                  std::move(loops), std::move(body),
+    xform::NestRewrite rw = nest.rewrite();
+    rw.body = std::move(body);
+    return xform::TransformedNest(std::move(rw), std::move(loops),
                                   nest.paramConditions());
 }
 

@@ -40,7 +40,7 @@ TEST(StrideTest, ScaledTransformedStridesStayIntegral)
     // with coefficient 1/2 still changes by an integer per iteration.
     ir::Program p = ir::gallery::scalingExample();
     TransformedNest tn = applyTransform(p, scaling(1, 0, 2));
-    auto strides = analyzeInnerStrides(tn);
+    auto strides = analyzeInnerStrides(tn.rewrite());
     ASSERT_FALSE(strides.empty());
     // A[u]: stride (coeff 1) * (step 2) = 2 elements per iteration.
     EXPECT_EQ(strides[0].strides[0], Rational(2));
@@ -74,7 +74,7 @@ TEST(StrideTest, NormalizationProducesConstantStrides)
     EXPECT_FALSE(source_single); // A varies in both dims along j
 
     NormalizeResult nr = accessNormalize(p);
-    for (const RefStride &r : analyzeInnerStrides(*nr.nest)) {
+    for (const RefStride &r : analyzeInnerStrides(nr.nest->rewrite())) {
         EXPECT_TRUE(r.constantStride());
         EXPECT_TRUE(r.singleDimension());
     }
@@ -98,7 +98,7 @@ TEST(StrideTest, EmptyAndDegenerate)
 void
 expectStridesMatchExecution(const TransformedNest &tn)
 {
-    auto strides = analyzeInnerStrides(tn);
+    auto strides = analyzeInnerStrides(tn.rewrite());
     std::vector<IntVec> visited;
     tn.forEachIteration({}, [&](const IntVec &u) {
         visited.push_back(u);
@@ -140,7 +140,7 @@ TEST(StrideTest, ReversalGivesNegativeStrideUnderPositiveLoopStep)
     rev(0, 0) = -1;
     TransformedNest tn = applyTransform(p, rev);
     EXPECT_GT(tn.loops().back().stride, 0);
-    auto strides = analyzeInnerStrides(tn);
+    auto strides = analyzeInnerStrides(tn.rewrite());
     ASSERT_FALSE(strides.empty());
     EXPECT_TRUE(strides[0].strides[0].isNegative());
     EXPECT_EQ(strides[0].strides[0], Rational(-2)); // A[2i], step -1
@@ -157,7 +157,7 @@ TEST(StrideTest, ScaledReversalCombinesLatticeStepAndSign)
     t(0, 0) = -2;
     TransformedNest tn = applyTransform(p, t);
     EXPECT_EQ(tn.loops().back().stride, 2);
-    auto strides = analyzeInnerStrides(tn);
+    auto strides = analyzeInnerStrides(tn.rewrite());
     ASSERT_FALSE(strides.empty());
     EXPECT_EQ(strides[0].strides[0], Rational(-2));
     EXPECT_TRUE(strides[0].constantStride());
@@ -169,7 +169,7 @@ TEST(StrideTest, DepthOneIdentityMatchesSourceAnalysis)
     ir::Program p = ir::gallery::scalingExample();
     TransformedNest tn = applyTransform(p, IntMatrix::identity(1));
     auto src = analyzeInnerStrides(p.nest);
-    auto xfm = analyzeInnerStrides(tn);
+    auto xfm = analyzeInnerStrides(tn.rewrite());
     ASSERT_EQ(src.size(), xfm.size());
     for (size_t i = 0; i < src.size(); ++i)
         EXPECT_EQ(src[i].strides, xfm[i].strides) << "ref " << i;
@@ -177,9 +177,11 @@ TEST(StrideTest, DepthOneIdentityMatchesSourceAnalysis)
 
 TEST(StrideTest, ZeroDepthTransformedNestYieldsNoStrides)
 {
-    TransformedNest empty(IntMatrix(0, 0), RatMatrix(0, 0),
-                          Lattice(IntMatrix(0, 0)), {}, {}, {});
-    EXPECT_TRUE(analyzeInnerStrides(empty).empty());
+    TransformedNest empty(
+        NestRewrite{IntMatrix(0, 0), RatMatrix(0, 0),
+                    Lattice(IntMatrix(0, 0)), {}},
+        {}, {});
+    EXPECT_TRUE(analyzeInnerStrides(empty.rewrite()).empty());
 }
 
 TEST(FMPruning, DominatedBoundsDropped)

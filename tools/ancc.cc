@@ -421,11 +421,12 @@ run(const Options &o)
                 ht += v;
             for (double v : sr.winnerTimesUs)
                 wt += v;
-            std::printf("plan search: %llu candidates, %llu scored; "
-                        "%s '%s' (heuristic %.1f us, winner %.1f us "
-                        "summed over the sweep)\n",
+            std::printf("plan search: %llu candidates, %llu scored, "
+                        "%llu bounded; %s '%s' (heuristic %.1f us, "
+                        "winner %.1f us summed over the sweep)\n",
                         static_cast<unsigned long long>(sr.enumerated),
                         static_cast<unsigned long long>(sr.scored),
+                        static_cast<unsigned long long>(sr.bounded),
                         sr.improved ? "adopted" : "kept",
                         sr.improved ? sr.winnerOrigin.c_str()
                                     : "heuristic",

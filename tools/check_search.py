@@ -17,6 +17,10 @@ baseline, then fails (exit 1) when:
     model changed -- SPEEDUP_EPS only absorbs float formatting);
   * admissibility broke: any kernel's searched simulated time exceeds
     its heuristic simulated time;
+  * search work grew: any kernel's exact work counts -- `sim_runs`
+    (simulated runs) and `bounded` (transformations given loop bounds)
+    -- exceed the baseline's. Both are deterministic, so the gate is
+    exact;
   * search wall time regressed: any kernel's search exceeds
     TOLERANCE x its baseline wall time plus an absolute slack
     (ABS_SLACK_S) that keeps timer noise on sub-millisecond searches
@@ -32,6 +36,7 @@ ABS_SLACK_S = 0.25
 DEFAULT_TOLERANCE = 3.0
 MIN_IMPROVED = 2
 SPEEDUP_EPS = 1e-6
+WORK_COUNTS = ("sim_runs", "bounded")
 
 
 def load_runs(path):
@@ -82,6 +87,14 @@ def main(argv):
                 errors.append(
                     "%s: speedup shrank: %.6fx vs baseline %.6fx"
                     % (label, cur["speedup"], base["speedup"]))
+        for count in WORK_COUNTS:
+            got = cur.get(count)
+            if got is None or int(got) > int(base[count]):
+                errors.append(
+                    "%s: %s %s (baseline %d)"
+                    % (label, count,
+                       "missing" if got is None else "grew to %d" % int(got),
+                       int(base[count])))
         budget = tolerance * base["wall_s"] + ABS_SLACK_S
         if cur["wall_s"] > budget:
             errors.append(
