@@ -143,17 +143,7 @@ class JsonReport
     run(const std::string &label, Int p, double wall_s, double sim_time_us,
         double speedup = 0.0)
     {
-        runs_.push_back({label, p, wall_s, sim_time_us, speedup, {}});
-    }
-
-    /** Same, plus extra pre-rendered JSON key/value pairs appended to
-     * the record (e.g. {"classes": "141"} for aggregated runs). */
-    void
-    run(const std::string &label, Int p, double wall_s, double sim_time_us,
-        double speedup,
-        const std::vector<std::pair<std::string, std::string>> &extra)
-    {
-        runs_.push_back({label, p, wall_s, sim_time_us, speedup, extra});
+        runs_.push_back({label, p, wall_s, sim_time_us, speedup});
     }
 
     /** Embed a metrics snapshot in the report (a "metrics" key holding
@@ -190,14 +180,10 @@ class JsonReport
             std::fprintf(f,
                          "%s\n    {\"label\": \"%s\", \"P\": %lld, "
                          "\"wall_s\": %s, \"sim_time_us\": %s, "
-                         "\"speedup\": %s",
+                         "\"speedup\": %s}",
                          i ? "," : "", escape(r.label).c_str(),
                          static_cast<long long>(r.p), num(r.wall_s).c_str(),
                          num(r.simTimeUs).c_str(), num(r.speedup).c_str());
-            for (const auto &[k, v] : r.extra)
-                std::fprintf(f, ", \"%s\": %s", escape(k).c_str(),
-                             v.c_str());
-            std::fprintf(f, "}");
         }
         std::fprintf(f, "\n  ]\n}\n");
         std::fclose(f);
@@ -212,7 +198,6 @@ class JsonReport
         double wall_s;
         double simTimeUs;
         double speedup;
-        std::vector<std::pair<std::string, std::string>> extra;
     };
 
     static std::string

@@ -59,8 +59,7 @@ conservativeDepMatrix(size_t n)
 xform::NormalizeResult
 normalizeAtTier(const ir::Program &prog,
                 const xform::AccessMatrixInfo &access,
-                const deps::DependenceInfo &dinfo,
-                const xform::NormalizeOptions &nopts, bool unimodular,
+                const deps::DependenceInfo &dinfo, bool unimodular,
                 Stage &stage, obs::PhaseClock &pc, CancelToken *cancel)
 {
     xform::NormalizeResult r =
@@ -75,17 +74,15 @@ normalizeAtTier(const ir::Program &prog,
 
     stage = Stage::Legality;
     tick(cancel);
-    if (nopts.enforceLegality) {
-        {
-            auto s = pc.phase("legal-basis");
-            xform::legalBasisStep(r);
-        }
-        tick(cancel);
-    }
     {
-        auto s = pc.phase(nopts.enforceLegality ? "legal-invertible"
-                                                : "padding");
-        xform::invertibleStep(r, dinfo, nopts.enforceLegality, unimodular);
+        auto s = pc.phase("legal-basis");
+        xform::legalBasisStep(r);
+    }
+    tick(cancel);
+    {
+        auto s = pc.phase("legal-invertible");
+        xform::invertibleStep(r, dinfo, /*enforce_legality=*/true,
+                              unimodular);
     }
 
     stage = Stage::Transform;
@@ -202,7 +199,8 @@ DiffOutcome
 differentialCheck(const Compilation &c, const ResilientOptions &ropts)
 {
     const ir::Program &prog = c.program;
-    std::vector<Int> candidates = ropts.differentialParamCandidates;
+    // Every parameter gets the same value; the first feasible one runs.
+    std::vector<Int> candidates = {4, 3, 2, 6, 1};
     if (prog.params.empty())
         candidates = {0}; // one attempt; the value is unused
     for (Int v : candidates) {
@@ -362,7 +360,7 @@ runLadder(ir::Program prog, const ResilientOptions &ropts, bool degrade)
                 c.normalization = std::move(r);
             } else {
                 c.normalization = normalizeAtTier(
-                    c.program, *access, *dinfo, nopts,
+                    c.program, *access, *dinfo,
                     /*unimodular=*/tier == CompileTier::Unimodular, stage,
                     pc, cancel);
             }
@@ -390,7 +388,7 @@ runLadder(ir::Program prog, const ResilientOptions &ropts, bool degrade)
                            std::string("compilation degraded to the '") +
                                tierName(c.tier) + "' tier");
 
-            if (c.degraded() && ropts.differentialCheck) {
+            if (c.degraded()) {
                 stage = Stage::DifferentialCheck;
                 tick(cancel);
                 auto s = pc.phase("differential-check");

@@ -156,18 +156,9 @@ Compilation compile(ir::Program prog, const CompileOptions &opts = {});
 struct ResilientOptions
 {
     CompileOptions base;
-    /**
-     * Verify every degraded result by interpretation: run the original
-     * program and the emitted nest on a small parameter binding and
-     * compare all array contents bit-for-bit. A mismatch fails the rung
-     * (the ladder continues downward); an infeasible binding (arrays
-     * too large, no in-range binding found) records a note and skips.
-     */
-    bool differentialCheck = true;
-    /** Per-array element cap for the differential check. */
+    /** Per-array element cap for the differential check of degraded
+     * results (see compileResilient). */
     Int differentialMaxElements = 1 << 16;
-    /** Parameter values tried (all parameters get the same value). */
-    std::vector<Int> differentialParamCandidates = {4, 3, 2, 6, 1};
     /** Knobs for the translation-validation post-pass (only consulted
      * when base.validate is set). */
     verify::ValidateOptions validation;
@@ -180,6 +171,13 @@ struct ResilientOptions
  * math errors, and internal invariant violations degrade the result to
  * a lower tier instead of escaping; the returned Compilation records
  * the tier reached and a diagnostic for everything given up.
+ *
+ * Every degraded result is verified by interpretation: the original
+ * program and the emitted nest run on a small parameter binding (every
+ * parameter 4, else 3, 2, 6, 1) and all array contents are compared
+ * bit-for-bit. A mismatch fails the rung (the ladder continues
+ * downward); an infeasible binding (arrays too large, no in-range
+ * binding found) records a note and skips.
  *
  * UserError (malformed input) still propagates: bad programs are the
  * caller's to fix, and the parser rejects them with line information.

@@ -230,10 +230,11 @@ planKey(const CanonicalForm &canonical, const numa::MachineParams &machine,
     h.update(machine.restartTime);
     h.updateInt(machine.elementSize);
     h.update(machine.contentionFactor);
-    // Bit 5 is retired and always 0, so existing keys stay valid.
+    // Bit 2 (legality enforcement, now unconditional) is retired and
+    // always 1, bit 5 is retired and always 0, so existing keys stay
+    // valid.
     h.update(uint64_t(opts.identityTransform) << 0 |
-             uint64_t(opts.validate) << 1 |
-             uint64_t(opts.normalize.enforceLegality) << 2 |
+             uint64_t(opts.validate) << 1 | uint64_t(1) << 2 |
              uint64_t(opts.normalize.includeInputDeps) << 3 |
              uint64_t(opts.normalize.useDistributionHint) << 4 |
              uint64_t(opts.search.enabled) << 6);

@@ -2,9 +2,10 @@
  * @file
  * Clustered request workloads and access-equivalent program variants.
  *
- * bench_service and the service tests need request streams that look
- * like a real compile server's: many requests, few *distinct* nests --
- * clients resubmit the same kernels written slightly differently.
+ * The service tests and perfbench's clustered_hot workload need
+ * request streams that look like a real compile server's: many
+ * requests, few *distinct* nests -- clients resubmit the same kernels
+ * written slightly differently.
  * clusteredWorkload() builds such a stream: a set of randomly generated
  * base programs ("clusters", in the spirit of the pipeline fuzzer's
  * generator), each served many times through access-equivalent

@@ -19,9 +19,9 @@ accessNormalize(const ir::Program &prog, const NormalizeOptions &opts)
     NormalizeResult r =
         normalizationRecord(access, dinfo, prog.nest.depth());
     basisStep(r);
-    if (opts.enforceLegality)
-        legalBasisStep(r);
-    invertibleStep(r, dinfo, opts.enforceLegality, /*unimodular=*/false);
+    legalBasisStep(r);
+    invertibleStep(r, dinfo, /*enforce_legality=*/true,
+                   /*unimodular=*/false);
     applyStep(r, prog);
     return r;
 }

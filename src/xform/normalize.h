@@ -31,10 +31,6 @@ namespace anc::xform {
 /** Options controlling the normalization pipeline. */
 struct NormalizeOptions
 {
-    /** Enforce dependence legality (LegalBasis / LegalInvt). Disabling
-     * this reproduces the Section 4/5 construction without Section 6,
-     * for study only. */
-    bool enforceLegality = true;
     /** Also report input (read-read) dependences in the result. */
     bool includeInputDeps = false;
     /** Use the paper's Section 2.2 ordering heuristic (distribution
@@ -94,8 +90,7 @@ struct NormalizeResult
 
 /**
  * Run the full pipeline on a program. The returned transformation is
- * always invertible and, unless legality enforcement was disabled,
- * respects every analyzed dependence.
+ * always invertible and respects every analyzed dependence.
  */
 NormalizeResult accessNormalize(const ir::Program &prog,
                                 const NormalizeOptions &opts = {});

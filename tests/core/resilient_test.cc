@@ -382,16 +382,5 @@ TEST_F(ResilientTest, ValidationMathFaultsDegradeLikeOverflows)
     EXPECT_GE(degraded * 10, swept * 9);
 }
 
-TEST_F(ResilientTest, DifferentialCheckCanBeDisabled)
-{
-    ResilientOptions ropts;
-    ropts.differentialCheck = false;
-    fault::armAt(50);
-    Compilation c = compileResilient(ir::gallery::gemm(), ropts);
-    fault::disarm();
-    EXPECT_TRUE(c.degraded());
-    EXPECT_FALSE(c.differentialChecked);
-}
-
 } // namespace
 } // namespace anc::core

@@ -384,10 +384,15 @@ TEST(FuzzPipeline, RandomProgramsWithLegalityDisabledStayBijective)
     std::mt19937 rng(777777);
     for (int trial = 0; trial < 40; ++trial) {
         GenProgram g = generate(rng, 2);
-        xform::NormalizeOptions opts;
-        opts.enforceLegality = false;
-        xform::NormalizeResult r;
-        ASSERT_NO_THROW(r = xform::accessNormalize(g.prog, opts));
+        deps::DependenceInfo dinfo = deps::analyzeDependences(g.prog);
+        xform::NormalizeResult r = xform::normalizationRecord(
+            xform::buildAccessMatrix(g.prog), dinfo, g.prog.nest.depth());
+        ASSERT_NO_THROW({
+            xform::basisStep(r);
+            xform::invertibleStep(r, dinfo, /*enforce_legality=*/false,
+                                  /*unimodular=*/false);
+            xform::applyStep(r, g.prog);
+        });
         std::map<IntVec, int> visited;
         r.nest->forEachIteration(g.params, [&](const IntVec &u) {
             visited[r.nest->oldIteration(u)] += 1;

@@ -24,9 +24,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "codegen/planner.h"
@@ -48,9 +50,9 @@ struct Named
 };
 
 std::vector<Named>
-corpus()
+gallery()
 {
-    std::vector<Named> out = {
+    return {
         {"gallery/figure1", ir::gallery::figure1()},
         {"gallery/section3", ir::gallery::section3Example()},
         {"gallery/scaling", ir::gallery::scalingExample()},
@@ -63,6 +65,12 @@ corpus()
         {"gallery/syr2kBanded", ir::gallery::syr2kBanded()},
         {"gallery/skewedScatter", ir::gallery::skewedScatter()},
     };
+}
+
+std::vector<Named>
+corpus()
+{
+    std::vector<Named> out = gallery();
     // Same generator, seed and depth pattern as the fuzzer's
     // RandomProgramsSurviveTranslationValidation corpus.
     std::mt19937 rng(424242);
@@ -270,6 +278,61 @@ TEST(SearchGolden, SelectedPlansAndVerdictsMatchTheRecordedDigests)
                 EXPECT_LE(t.simTimesUs[j], heur[j]) << "size " << j;
             EXPECT_EQ(t.totalUs, -1.0);
         }
+    }
+}
+
+TEST(SearchGolden, GallerySearchWinsAndWorkStayWithinTheirBounds)
+{
+    // Each gallery kernel compiled directly, without canonicalization.
+    // The search must never lose to the heuristic, must strictly win on
+    // exactly its two witnesses by at least the recorded speedups, and
+    // must not grow its exact work counts -- simulated runs (the
+    // trail's per-candidate times) and transformations given loop
+    // bounds -- past the recorded ones.
+    struct Bound
+    {
+        uint64_t simRuns, bounded;
+        double speedup; //!< 0 when the heuristic's plan must stand
+    };
+    const std::map<std::string, Bound> kBounds = {
+        {"gallery/figure1", {28, 21, 0}},
+        {"gallery/section3", {24, 7, 1.4}},
+        {"gallery/scaling", {6, 1, 0}},
+        {"gallery/section5", {63, 24, 0}},
+        {"gallery/gemm", {28, 19, 0}},
+        {"gallery/gemv", {14, 3, 0}},
+        {"gallery/ger", {18, 7, 0}},
+        {"gallery/jacobi2d", {14, 7, 0}},
+        {"gallery/gaussSeidel", {5, 1, 0}},
+        {"gallery/syr2kBanded", {32, 21, 0}},
+        {"gallery/skewedScatter", {24, 7, 1.07023411}},
+    };
+    core::CompileOptions opts;
+    opts.search.enabled = true;
+    for (const Named &n : gallery()) {
+        SCOPED_TRACE(n.name);
+        const Bound &b = kBounds.at(n.name);
+        auto t0 = std::chrono::steady_clock::now();
+        core::Compilation c = core::compile(n.prog, opts);
+        std::chrono::duration<double> wall =
+            std::chrono::steady_clock::now() - t0;
+        EXPECT_LE(wall.count(), 5.0);
+        ASSERT_TRUE(c.search.ran);
+        const xform::SearchResult &r = c.search;
+        double heur = std::accumulate(r.heuristicTimesUs.begin(),
+                                      r.heuristicTimesUs.end(), 0.0);
+        double win = std::accumulate(r.winnerTimesUs.begin(),
+                                     r.winnerTimesUs.end(), 0.0);
+        EXPECT_LE(win, heur);
+        EXPECT_EQ(r.improved, b.speedup > 0);
+        if (b.speedup > 0) {
+            EXPECT_GE(heur / win, b.speedup);
+        }
+        uint64_t simRuns = 0;
+        for (const xform::SearchScore &t : r.trail)
+            simRuns += t.simTimesUs.size();
+        EXPECT_LE(simRuns, b.simRuns);
+        EXPECT_LE(r.bounded, b.bounded);
     }
 }
 

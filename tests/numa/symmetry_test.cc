@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "core/compiler.h"
 #include "ir/builder.h"
 #include "ir/gallery.h"
@@ -215,7 +217,7 @@ TEST(Symmetry, MillionProcessorsStaysSmall)
     ASSERT_TRUE(s.aggregated);
     // One class per non-empty processor plus the empty rest: the class
     // count scales with the outer trip count, never with P.
-    EXPECT_LE(s.classes.size(), size_t(141));
+    EXPECT_EQ(s.classes.size(), size_t(141));
     EXPECT_EQ(s.processors, P);
     uint64_t mult = 0;
     for (const ProcClass &c : s.classes)
@@ -229,6 +231,86 @@ TEST(Symmetry, MillionProcessorsStaysSmall)
     // Materializing a million ProcStats blows the default budget; the
     // class table is the supported interface at this scale.
     EXPECT_THROW(s.materializePerProc(uint64_t(16) << 20), UserError);
+}
+
+/** The planetary-scale sweep: GEMM (N = 140) and banded SYR2K
+ * (N = 140, b = 8) under forced aggregation at P = 2^5 .. 2^20, with
+ * the light contention the sweep was recorded under. */
+std::vector<Workload>
+scaleKernels()
+{
+    return {{"gemm", core::compile(ir::gallery::gemm()), {{140}, {}}},
+            {"syr2k", core::compile(ir::gallery::syr2kBanded()),
+             {{140, 8}, {1.5, 0.5}}}};
+}
+
+const std::vector<Int> kScaleSweep = {Int(1) << 5, Int(1) << 8,
+                                      Int(1) << 12, Int(1) << 16,
+                                      Int(1) << 20};
+
+SimStats
+runScale(const Workload &w, Int p, SymmetryMode mode)
+{
+    SimOptions opts;
+    opts.processors = p;
+    opts.symmetry = mode;
+    opts.machine.contentionFactor = 0.01;
+    return core::simulate(w.comp, opts, w.binds);
+}
+
+TEST(Symmetry, ScaleSweepMatchesDirectAtSmallP)
+{
+    for (const Workload &w : scaleKernels())
+        for (Int p : {1, 7, 32}) {
+            SimStats direct = runScale(w, p, SymmetryMode::Off);
+            SimStats agg = runScale(w, p, SymmetryMode::Force);
+            agg.materializePerProc();
+            expectIdentical(agg, direct,
+                            w.name + " N=140 P=" + std::to_string(p));
+        }
+}
+
+TEST(Symmetry, ScaleSweepClassCountsArePinned)
+{
+    // The class count follows the outer trip count, never P: GEMM has
+    // one class per processor until the 140 rows run out (plus the
+    // empty rest), banded SYR2K 16 at every size. Every point must
+    // aggregate: the direct O(P) path has no class table at all.
+    std::vector<Workload> ks = scaleKernels();
+    for (Int p : kScaleSweep) {
+        SCOPED_TRACE("P=" + std::to_string(p));
+        SimStats gemm = runScale(ks[0], p, SymmetryMode::Force);
+        SimStats syr2k = runScale(ks[1], p, SymmetryMode::Force);
+        ASSERT_TRUE(gemm.aggregated);
+        ASSERT_TRUE(syr2k.aggregated);
+        EXPECT_EQ(gemm.classes.size(), p == kScaleSweep.front() ? 32u : 141u);
+        EXPECT_EQ(syr2k.classes.size(), 16u);
+    }
+}
+
+TEST(Symmetry, ScaleSweepWallTimeIsFlatInP)
+{
+    // Best of three, so one descheduled run cannot fail the gate. The
+    // class counts above are the exact signal; this bound catches
+    // per-class work that grows with P.
+    auto bestWallS = [](const Workload &w, Int p) {
+        double best = 1e30;
+        for (int rep = 0; rep < 3; ++rep) {
+            auto t0 = std::chrono::steady_clock::now();
+            runScale(w, p, SymmetryMode::Force);
+            std::chrono::duration<double> d =
+                std::chrono::steady_clock::now() - t0;
+            best = std::min(best, d.count());
+        }
+        return best;
+    };
+    for (const Workload &w : scaleKernels()) {
+        double first = bestWallS(w, kScaleSweep.front());
+        double last = bestWallS(w, kScaleSweep.back());
+        EXPECT_LE(last, 4.0 * first + 0.25)
+            << w.name << ": P = 2^20 took " << last << " s vs " << first
+            << " s at P = 2^5";
+    }
 }
 
 TEST(Symmetry, AggregateTotalsThrowOnUint64Overflow)

@@ -279,10 +279,6 @@ TEST(CanonicalTest, KeyCoversEverySemanticsAffectingOptionField)
         {"identityTransform",
          [](core::CompileOptions &o) { o.identityTransform = true; }},
         {"validate", [](core::CompileOptions &o) { o.validate = true; }},
-        {"normalize.enforceLegality",
-         [](core::CompileOptions &o) {
-             o.normalize.enforceLegality = false;
-         }},
         {"normalize.includeInputDeps",
          [](core::CompileOptions &o) {
              o.normalize.includeInputDeps = true;

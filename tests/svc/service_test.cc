@@ -334,6 +334,73 @@ TEST_F(ServiceTest, BatchReplayIsBitIdentical)
     EXPECT_GT(a.cache().hits(), 0u);
 }
 
+TEST_F(ServiceTest, ClusteredStreamCountsArePinned)
+{
+    // The 240-request clustered stream (seed 20260808, 8 clusters)
+    // through a 1 MiB cache: every count below is deterministic, so the
+    // gate is exact. A hit lost means canonicalization stopped folding
+    // equivalent requests; a step gained on the slowest request means
+    // the miss path grew.
+    WorkloadOptions w;
+    w.seed = 20260808;
+    w.clusters = 8;
+    w.requests = 240;
+    std::vector<BatchRequest> batch = clusteredWorkload(w);
+    ASSERT_EQ(batch.size(), 240u);
+    ServiceOptions o;
+    o.cacheBytes = size_t(1) << 20;
+    o.deadlineSteps = 10000;
+
+    Service s(o);
+    std::vector<Response> rs = s.runBatch(batch);
+    EXPECT_EQ(s.cache().hits(), 232u);
+    EXPECT_EQ(s.cache().misses(), 8u);
+    EXPECT_EQ(s.verdictCount(Verdict::Shed), 0u);
+    EXPECT_EQ(s.verdictCount(Verdict::DeadlineExceeded), 0u);
+    uint64_t served = 0, unvalidated = 0;
+    for (const Response &r : rs) {
+        if (r.verdict != Verdict::Compiled && r.verdict != Verdict::Cached &&
+            r.verdict != Verdict::Degraded)
+            continue;
+        ++served;
+        unvalidated += !r.validated;
+    }
+    EXPECT_EQ(served, 240u);
+    EXPECT_EQ(unvalidated, 0u);
+    obs::MetricsRegistry m;
+    s.fillMetrics(m);
+    uint64_t p99 = 0;
+    for (const auto &[name, hist] : m.histograms())
+        if (name == "svc.steps")
+            p99 = hist.quantileUpperBound(0.99);
+    EXPECT_EQ(p99, 80u);
+
+    Service replay(o);
+    EXPECT_EQ(signature(replay.runBatch(batch)), signature(rs));
+    EXPECT_EQ(replay.cache().journalText(), s.cache().journalText());
+
+    // Request isolation: faults armed at a spread of operation indices
+    // over the stream's first 24 requests never crash the batch.
+    std::vector<BatchRequest> slice(batch.begin(), batch.begin() + 24);
+    uint64_t runs = 0, crashed = 0;
+    for (uint64_t nth = 5; nth <= 2000; nth += 95) {
+        ++runs;
+        try {
+            Service f(o);
+            fault::armAt(nth, nth % 190 == 0 ? fault::Kind::Math
+                                             : fault::Kind::Overflow);
+            std::vector<Response> frs = f.runBatch(slice);
+            fault::disarm();
+            crashed += frs.size() != slice.size();
+        } catch (...) {
+            fault::disarm();
+            ++crashed;
+        }
+    }
+    EXPECT_EQ(runs, 22u);
+    EXPECT_EQ(crashed, 0u);
+}
+
 TEST_F(ServiceTest, FaultScheduleReplayIsBitIdentical)
 {
     // Determinism must hold under injected faults too: the same fault

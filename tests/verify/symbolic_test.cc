@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <random>
 
 #include "core/compiler.h"
@@ -445,6 +446,92 @@ TEST(SymbolicTest, DependenceViolationIsCaughtOnlySymbolically)
     ASSERT_TRUE(o.feasible) << o.reason;
     EXPECT_TRUE(o.latticeOk) << o.latticeDetail;
     EXPECT_TRUE(o.orderOk) << o.orderDetail;
+}
+
+/** GEMM with a concrete trip count M per level: M^3 iterations. */
+ir::Program
+scaledGemm(Int m)
+{
+    ir::ProgramBuilder b(3);
+    auto M = b.cst(m);
+    auto c1 = b.cst(1);
+    size_t arr_c = b.array("C", {M, M}, ir::DistributionSpec::wrapped(1));
+    size_t arr_a = b.array("A", {M, M}, ir::DistributionSpec::wrapped(1));
+    size_t arr_b = b.array("B", {M, M}, ir::DistributionSpec::wrapped(1));
+    b.loop("i", b.cst(0), M - c1);
+    b.loop("j", b.cst(0), M - c1);
+    b.loop("k", b.cst(0), M - c1);
+    auto vi = b.var(0), vj = b.var(1), vk = b.var(2);
+    ir::Expr rhs = ir::Expr::binary(
+        '+', ir::Expr::arrayRead(b.ref(arr_c, {vi, vj})),
+        ir::Expr::binary('*', ir::Expr::arrayRead(b.ref(arr_a, {vi, vk})),
+                         ir::Expr::arrayRead(b.ref(arr_b, {vk, vj}))));
+    b.assign(b.ref(arr_c, {vi, vj}), rhs);
+    return b.build();
+}
+
+struct Timed
+{
+    double wallS = 1e30; //!< best of three runs
+    uint64_t steps = 0;  //!< deterministic deadline charge
+    bool passed = false; //!< all three checks decided and passed
+};
+
+Timed
+timedValidation(const core::Compilation &c)
+{
+    Timed t;
+    for (int rep = 0; rep < 3; ++rep) {
+        core::CancelToken token(1u << 22);
+        ValidateOptions vopts;
+        vopts.cancel = &token;
+        auto t0 = std::chrono::steady_clock::now();
+        ValidationReport r = validate(c.program, c.nest(),
+                                      c.normalization.depMatrix, vopts);
+        std::chrono::duration<double> d =
+            std::chrono::steady_clock::now() - t0;
+        t.wallS = std::min(t.wallS, d.count());
+        t.steps = token.steps();
+        t.passed = r.passed() && r.checks.size() == 3;
+    }
+    return t;
+}
+
+TEST(SymbolicTest, ProverCostIsFlatAcrossNineOrdersOfMagnitude)
+{
+    // The prover's cost is a function of nest depth and constraint
+    // count, not of trip count: from M = 10 to M = 10^9 (10^27
+    // iterations, unenumerable) every verdict passes, the prover
+    // charges exactly the same number of steps, and the wall time stays
+    // flat. An O(points) path misses both by orders of magnitude.
+    Timed first, last;
+    for (Int m = 10; m <= 1000000000; m *= 10) {
+        SCOPED_TRACE("M=" + std::to_string(m));
+        Timed t = timedValidation(core::compile(scaledGemm(m)));
+        EXPECT_TRUE(t.passed);
+        EXPECT_EQ(t.steps, 65u);
+        if (m == 10)
+            first = t;
+        last = t;
+    }
+    EXPECT_EQ(last.steps, first.steps);
+    EXPECT_LE(last.wallS, 4.0 * first.wallS + 0.05)
+        << "M = 10^9 took " << last.wallS << " s vs " << first.wallS
+        << " s at M = 10";
+}
+
+TEST(SymbolicTest, ParametricGalleryProverStepsArePinned)
+{
+    // Parameters stay free symbols, so each verdict covers every N; the
+    // banded SYR2K's min/max bounds take the multi-bound implication
+    // path.
+    Timed gemm = timedValidation(core::compile(ir::gallery::gemm()));
+    EXPECT_TRUE(gemm.passed);
+    EXPECT_EQ(gemm.steps, 69u);
+    Timed syr2k =
+        timedValidation(core::compile(ir::gallery::syr2kBanded()));
+    EXPECT_TRUE(syr2k.passed);
+    EXPECT_EQ(syr2k.steps, 158u);
 }
 
 } // namespace

@@ -140,10 +140,15 @@ TEST(NormalizeSection5, RankDeficientAccessMatrix)
 
 TEST(NormalizeOptionsTest, LegalityOffUsesRawBasis)
 {
+    // The Section 4/5 construction without Section 6: the raw basis,
+    // padded to an invertible T with no dependence filtering.
     Program p = ir::gallery::syr2kBanded();
-    NormalizeOptions opts;
-    opts.enforceLegality = false;
-    NormalizeResult r = accessNormalize(p, opts);
+    deps::DependenceInfo dinfo = deps::analyzeDependences(p);
+    NormalizeResult r = normalizationRecord(buildAccessMatrix(p), dinfo,
+                                            p.nest.depth());
+    basisStep(r);
+    invertibleStep(r, dinfo, /*enforce_legality=*/false,
+                   /*unimodular=*/false);
     EXPECT_EQ(r.legal, r.basis);
     // The raw basis violates the (0,0,1) dependence for SYR2K.
     EXPECT_FALSE(deps::isLegalTransformation(r.transform, r.depMatrix));

@@ -89,8 +89,8 @@ const OptSpec kOptSpecs[] = {
     {"--serve-batch", Arg::Required, "FILE",
      "serve the requests in FILE (same as a positional file argument)"},
     {"--generate", Arg::Required, "SEED:CLUSTERS:REQUESTS",
-     "serve a synthetic clustered workload instead of a file (the "
-     "bench_service stream)"},
+     "serve a synthetic clustered workload (svc::clusteredWorkload) "
+     "instead of a file"},
     {"--cache-bytes", Arg::Required, "N",
      "plan-cache byte budget (default 4194304; 0 caches nothing)"},
     {"--deadline-steps", Arg::Required, "N",
